@@ -12,7 +12,6 @@ Exit status: 0 on success, 1 on config faults, 2 when a run blows up.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .analytic import IC_SOLITON, InitialCondition, SolitonParams
@@ -65,10 +64,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 def _cmd_advise(args: argparse.Namespace) -> int:
     rule = _RULE_ALIASES.get(args.rule, args.rule)
     plan = advise_tau(make_hirota_satsuma(), args.h, args.t_end, rule, args.safety)
-    n_steps = max(1, math.ceil(args.t_end / plan.tau - 1e-12))
     print(f"rule = {plan.rule}")
     print(f"tau = {plan.tau:.6g}")
-    print(f"steps to t_end = {n_steps}")
+    print(f"steps to t_end = {plan.fit_to_end()[1]}")
     return 0
 
 

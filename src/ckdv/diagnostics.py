@@ -186,11 +186,9 @@ def convergence_study(
     l2_errors: list[float] = []
     for level in range(n_levels):
         h = h_coarsest / 2**level
-        plan = advise_tau(spec, h, t_end, RULE_DISPERSIVE_CFL, safety)
-        n_steps = max(1, math.ceil(t_end / plan.tau - 1e-12))
-        tau = t_end / n_steps
+        plan, n_steps = advise_tau(spec, h, t_end, RULE_DISPERSIVE_CFL, safety).fit_to_end()
         m_points = int(round((x_max - x_min) / h))
-        grid = Grid(x_min, h, m_points, tau)
+        grid = Grid(x_min, h, m_points, plan.tau)
         evaluate = oracle_factory(grid.nodes())
         if ic is not None:
             state = sample_initial(ic, grid)

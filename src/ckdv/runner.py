@@ -187,6 +187,10 @@ def validate_config(config: RunConfig) -> RunConfig:
     Returns a fully resolved copy; raises :class:`ConfigError` naming the
     offending field. The domain-width guard only warns.
     """
+    for key in _FLOAT_KEYS:
+        value = getattr(config, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}", field=key)
     if config.h <= 0:
         raise ConfigError(f"h must be positive, got {config.h}", field="h")
     if config.t_end <= 0:
@@ -368,12 +372,10 @@ def run_experiment(config: RunConfig) -> RunReport:
     ic = build_initial_condition(config)
 
     plan0 = advise_tau(spec, config.h, config.t_end, config.tau_rule, config.safety, tau=config.tau)
-    n_steps = max(1, math.ceil(config.t_end / plan0.tau - 1e-12))
-    tau = config.t_end / n_steps
-    plan = StepPlan(tau=tau, rule=plan0.rule, safety=plan0.safety, t_end=plan0.t_end)
+    plan, n_steps = plan0.fit_to_end()
 
     m_points = int(round((config.x_max - config.x_min) / config.h))
-    grid = Grid(config.x_min, config.h, m_points, tau)
+    grid = Grid(config.x_min, config.h, m_points, plan.tau)
     x = grid.nodes()
 
     state0 = sample_initial(ic, grid)

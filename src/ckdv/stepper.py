@@ -11,6 +11,12 @@ where for each mode n
 
     R_n(u) = c_n D1(u_n) + sum_terms g * u_k * D1(u_m) + e_n D3(u_n).
 
+``advance``, ``half_step`` and ``full_step`` share one kernel: each layer
+sits in a buffer with two periodic ghost cells per side, and each stage
+writes the next layer in place, in a fixed operation order that keeps runs
+bit-for-bit reproducible. ``single_mode_step`` is an independent N=1
+transcription of the scheme, kept as a test oracle.
+
 The scheme is conditionally stable: tau must shrink faster than h. The
 step-size advisor offers the strict sixth-power bound
 tau = safety * h^6 / (9 e_max^2 t_end) and the practical dispersive limit
@@ -20,7 +26,8 @@ tractable and is validated empirically by the stability tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +64,11 @@ class StepPlan:
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
 
+    def fit_to_end(self) -> tuple[StepPlan, int]:
+        """Fewest steps reaching ``t_end``, and this plan with tau shrunk to ``t_end / n_steps``."""
+        n_steps = max(1, math.ceil(self.t_end / self.tau - 1e-12))
+        return replace(self, tau=self.t_end / n_steps), n_steps
+
 
 def central_diff1(field: Sequence[float], i: int, h: float) -> float:
     """Centered first difference (f_{i+1} - f_{i-1}) / 2h with periodic wrap."""
@@ -77,38 +89,108 @@ def central_diff3(field: Sequence[float], i: int, h: float) -> float:
     ) / (2.0 * h**3)
 
 
-class _Kernel:
-    """Precomputed per-run coefficients for the right-hand side R."""
+class _Layer:
+    """One time layer of N modes in a flat buffer of N padded rows.
 
-    def __init__(self, spec: SystemSpec, h: float):
-        self.h = h
-        self.speeds = np.asarray(spec.linear_speeds, dtype=float).reshape(-1, 1)
-        self.e = effective_dispersion(spec, h).reshape(-1, 1)
+    Row n holds two ghost cells, the M nodes, then two more ghost cells;
+    the ghosts repeat the periodic neighbours, so across the whole buffer
+    the +-1 and +-2 stencil shifts are contiguous slices. At ghost and row
+    seam positions those slices mix rows; results there are overwritten.
+    """
+
+    def __init__(self, n_modes: int, m_points: int):
+        w = m_points + 4
+        self.flat = np.empty(n_modes * w)
+        padded = self.flat.reshape(n_modes, w)
+        self.values = padded[:, 2:-2]
+        self.rows = list(self.values)
+        self.core = self.flat[2:-2]
+        self.up1, self.dn1 = self.flat[3:-1], self.flat[1:-3]
+        self.up2, self.dn2 = self.flat[4:], self.flat[:-4]
+        self._ghosts = (
+            (padded[:, :2], padded[:, m_points : m_points + 2]),
+            (padded[:, -2:], padded[:, 2:4]),
+        )
+
+    def wrap(self) -> None:
+        """Refresh the ghost cells from the nodes."""
+        for ghost, source in self._ghosts:
+            np.copyto(ghost, source)
+
+
+class _Kernel:
+    """The scheme's right-hand side R, applied in place on padded layers.
+
+    Holds three layers (current, intermediate, next) and every scratch
+    array, so ``stage`` allocates nothing. The scratch arrays span the
+    layers' flat ``core`` range, so each operation is one contiguous ufunc
+    over all modes; per-mode speeds and dispersions repeat along their rows.
+
+    The operation order is fixed, and changing it changes the output bits:
+    D1 = (u+1 - u-1) / 2h, D3 = ((u+2 - 2u+1) + 2u-1 - u-2) / 2h^3, the
+    terms summed in spec order onto a zeroed accumulator (the zero fixes
+    the sign of zero results), then R = c*D1 + acc + e*D3.
+    """
+
+    def __init__(self, spec: SystemSpec, grid: Grid):
+        n, m = spec.n_modes, grid.m_points
+        self.shape = (n, m)
+        self.layers = tuple(_Layer(n, m) for _ in range(3))
+        self.two_h = 2.0 * grid.h
+        self.two_h3 = 2.0 * grid.h**3
+        w = m + 4
+        self.speeds = np.repeat(np.asarray(spec.linear_speeds, dtype=float), w)[2:-2]
+        self.e = np.repeat(effective_dispersion(spec, grid.h), w)[2:-2]
         # 0-based (n, k, m, coef) term list in spec order
         self.terms = [(t.n - 1, t.k - 1, t.m - 1, float(t.coef)) for t in spec.nonlinear_terms]
+        self.twice = np.empty(n * w)
+        self.twice_up1, self.twice_dn1 = self.twice[3:-1], self.twice[1:-3]
+        size = self.twice_up1.size
+        self.d1, self.d3, self.acc = np.empty(size), np.empty(size), np.empty(size)
+        # row i's nodes sit at core offsets i*w .. i*w + m - 1
+        self.d1_rows = [self.d1[i * w : i * w + m] for i in range(n)]
+        self.acc_rows = [self.acc[i * w : i * w + m] for i in range(n)]
+        self.term = np.empty(m)
 
-    def rhs(self, values: np.ndarray) -> np.ndarray:
-        # all modes at once; the stencils act along the spatial axis
-        h = self.h
-        up1 = np.roll(values, -1, axis=1)
-        dn1 = np.roll(values, 1, axis=1)
-        d1 = (up1 - dn1) / (2.0 * h)
-        d3 = (np.roll(values, -2, axis=1) - 2.0 * up1 + 2.0 * dn1 - np.roll(values, 2, axis=1)) / (
-            2.0 * h**3
-        )
-        acc = np.zeros_like(values)
-        for n, k, m, coef in self.terms:
-            acc[n] += coef * (values[k] * d1[m])
-        return self.speeds * d1 + acc + self.e * d3
+    def load(self, layer: _Layer, values: np.ndarray) -> None:
+        if values.shape != self.shape:
+            raise ValueError(f"state has shape {values.shape}, the run needs {self.shape}")
+        layer.values[...] = values
+        layer.wrap()
+
+    def stage(self, base: _Layer, arg: _Layer, dt: float, out: _Layer) -> None:
+        """Set ``out`` to ``base - dt * R(arg)``, ghost cells included."""
+        np.multiply(arg.flat, 2.0, out=self.twice)
+        d1 = np.subtract(arg.up1, arg.dn1, out=self.d1)
+        d1 /= self.two_h
+        d3 = np.subtract(arg.up2, self.twice_up1, out=self.d3)
+        d3 += self.twice_dn1
+        d3 -= arg.dn2
+        d3 /= self.two_h3
+        self.acc.fill(0.0)
+        term = self.term
+        for n, k, mm, coef in self.terms:
+            np.multiply(arg.rows[k], self.d1_rows[mm], out=term)
+            term *= coef
+            self.acc_rows[n] += term
+        # R = c*D1 + acc + e*D3, built in d1 once the terms are done with it
+        rhs = np.multiply(self.speeds, d1, out=d1)
+        rhs += self.acc
+        rhs += np.multiply(self.e, d3, out=d3)
+        rhs *= dt
+        np.subtract(base.core, rhs, out=out.core)
+        out.wrap()
 
 
 def half_step(state: FieldSet, spec: SystemSpec, grid: Grid) -> FieldSet:
     """Advance to the intermediate layer at t + tau/2."""
-    kern = _Kernel(spec, grid.h)
-    new_values = state.values - (0.5 * grid.tau) * kern.rhs(state.values)
-    if not np.isfinite(new_values).all():
+    kern = _Kernel(spec, grid)
+    cur, half, _ = kern.layers
+    kern.load(cur, state.values)
+    kern.stage(cur, cur, 0.5 * grid.tau, half)
+    if not np.isfinite(half.values).all():
         raise BlowUpError("non-finite values in half step", time=state.time)
-    return FieldSet(new_values, state.time + 0.5 * grid.tau)
+    return FieldSet(half.values, state.time + 0.5 * grid.tau)
 
 
 def full_step(state_j: FieldSet, state_half: FieldSet, spec: SystemSpec, grid: Grid) -> FieldSet:
@@ -118,11 +200,14 @@ def full_step(state_j: FieldSet, state_half: FieldSet, spec: SystemSpec, grid: G
         raise ValueError(
             f"intermediate layer at t={state_half.time} does not sit tau/2 after t={state_j.time}"
         )
-    kern = _Kernel(spec, grid.h)
-    new_values = state_j.values - grid.tau * kern.rhs(state_half.values)
-    if not np.isfinite(new_values).all():
+    kern = _Kernel(spec, grid)
+    cur, half, nxt = kern.layers
+    kern.load(cur, state_j.values)
+    kern.load(half, state_half.values)
+    kern.stage(cur, half, grid.tau, nxt)
+    if not np.isfinite(nxt.values).all():
         raise BlowUpError("non-finite values in full step", time=state_j.time)
-    return FieldSet(new_values, state_j.time + grid.tau)
+    return FieldSet(nxt.values, state_j.time + grid.tau)
 
 
 def single_mode_step(field: np.ndarray, c: float, g: float, d: float, grid: Grid) -> np.ndarray:
@@ -171,32 +256,33 @@ def advance(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    kern = _Kernel(spec, grid.h)
+    kern = _Kernel(spec, grid)
+    cur, half, nxt = kern.layers
+    kern.load(cur, state.values)
     tau = grid.tau
     t0 = state.time
-    values = state.values
-    initial_max = float(np.max(np.abs(values)))
+    initial_max = float(np.max(np.abs(state.values)))
     limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else np.inf
+    magnitude = np.empty_like(cur.flat)
 
-    def check(layer: np.ndarray, j: int) -> None:
-        # a NaN max-norm fails the comparison, so this also catches non-finite layers
-        amax = float(np.max(np.abs(layer)))
+    def check(layer: _Layer, j: int) -> None:
+        # ghost cells repeat nodes, so the padded max-norm is the nodes';
+        # a NaN max-norm fails the comparison, so this catches non-finite layers
+        amax = float(np.abs(layer.flat, out=magnitude).max())
         if not (amax <= limit) or not np.isfinite(amax):
             raise BlowUpError(
                 f"blow-up at step {j} (t ~ {t0 + j * tau:.6g})", step=j, time=t0 + j * tau
             )
 
-    current = state
     for j in range(1, n_steps + 1):
-        half = values - (0.5 * tau) * kern.rhs(values)
+        kern.stage(cur, cur, 0.5 * tau, half)
         check(half, j)
-        nxt = values - tau * kern.rhs(half)
+        kern.stage(cur, half, tau, nxt)
         check(nxt, j)
-        values = nxt
-        current = FieldSet(values, t0 + j * tau)
+        cur, nxt = nxt, cur
         if observer is not None:
-            observer(j, current)
-    return current
+            observer(j, FieldSet(cur.values, t0 + j * tau))
+    return FieldSet(cur.values, t0 + n_steps * tau)
 
 
 def advise_tau(

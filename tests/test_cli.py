@@ -1,4 +1,7 @@
+import pytest
+
 from ckdv.cli import main
+from ckdv.runner import _FLOAT_KEYS
 
 
 def test_presets_listing(capsys):
@@ -66,3 +69,14 @@ def test_converge_command(capsys):
     out = capsys.readouterr().out
     assert "order" in out
     assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    fields = {"h": "0.1", "t_end": "0.01", "output_dir": str(tmp_path / "out")}
+    fields[key] = value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
