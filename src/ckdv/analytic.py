@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError, require_positive
 from .model import FieldSet, Grid
 
 IC_SOLITON = "hs_soliton"
@@ -36,9 +37,9 @@ class SolitonParams:
 
     def __post_init__(self):
         if self.m == 0:
-            raise ValueError("soliton parameter m must be nonzero")
+            raise ConfigError("soliton parameter m must be nonzero", field="m")
         if abs(self.d) >= 1:
-            raise ValueError("|d| must be < 1 (pole regime rejected)")
+            raise ConfigError("|d| must be < 1 (pole regime rejected)", field="d")
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ class TrianglePulse:
 
     def __post_init__(self):
         if self.amplitude == 0:
-            raise ValueError("triangle amplitude must be nonzero")
+            raise ConfigError("triangle amplitude must be nonzero", field="amplitude")
         if self.half_width <= 0:
-            raise ValueError("triangle half_width must be positive")
+            raise ConfigError("triangle half_width must be positive", field="half_width")
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,9 @@ class InitialCondition:
 
     def __post_init__(self):
         if self.kind not in IC_KINDS:
-            raise ValueError(f"unknown initial-condition kind {self.kind!r}")
-        if self.width_scale <= 0 or self.amp_scale <= 0:
-            raise ValueError("width_scale and amp_scale must be positive")
+            raise ConfigError(f"kind must be one of {IC_KINDS}, got {self.kind!r}", field="kind")
+        require_positive("width_scale", self.width_scale)
+        require_positive("amp_scale", self.amp_scale)
         if self.kind in (IC_SOLITON, IC_STRETCHED) and self.soliton is None:
             raise ValueError(f"{self.kind} requires soliton parameters")
         if self.kind == IC_TRIANGLE and self.pulse is None:

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import FieldSet, Grid, SystemSpec
 from .stepper import RULE_DISPERSIVE_CFL, advance, advise_tau
 from .analytic import IC_SOLITON, InitialCondition, sample_initial, soliton_evaluator
@@ -172,7 +173,7 @@ def convergence_study(
     term is subdominant to the h^2 one at every level.
     """
     if n_levels < 3:
-        raise ValueError("n_levels must be >= 3")
+        raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
     if oracle_factory is None:
         if ic is None or ic.kind != IC_SOLITON:
             raise ValueError("default oracle needs an hs_soliton initial condition")
@@ -187,8 +188,7 @@ def convergence_study(
     for level in range(n_levels):
         h = h_coarsest / 2**level
         plan, n_steps = advise_tau(spec, h, t_end, RULE_DISPERSIVE_CFL, safety).fit_to_end()
-        m_points = int(round((x_max - x_min) / h))
-        grid = Grid(x_min, h, m_points, plan.tau)
+        grid = Grid.spanning(x_min, x_max, h, plan.tau)
         evaluate = oracle_factory(grid.nodes())
         if ic is not None:
             state = sample_initial(ic, grid)

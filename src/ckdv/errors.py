@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positivity check."""
+
+import math
 
 
 class CkdvError(Exception):
@@ -31,3 +33,11 @@ class ConfigError(CkdvError, ValueError):
         super().__init__(message)
         self.field = field
         self.line = line
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is finite and positive."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}", field=name)
+    if value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value}", field=name)

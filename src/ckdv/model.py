@@ -15,9 +15,12 @@ array storage inside the solver is 0-based.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError, require_positive
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,24 @@ class Grid:
     tau: float
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("grid spacing h must be positive")
-        if self.tau <= 0:
-            raise ValueError("time step tau must be positive")
+        require_positive("h", self.h)
+        require_positive("tau", self.tau)
         if self.m_points < 5:
-            raise ValueError("m_points must be at least 5 (widest stencil spans 5 points)")
+            msg = f"the stencil needs m_points >= 5, got {self.m_points}"
+            raise ConfigError(msg, field="m_points")
+
+    @classmethod
+    def spanning(cls, x_min: float, x_max: float, h: float, tau: float) -> Grid:
+        """The grid of period [x_min, x_max), which must be a whole number of steps h
+        (to a relative 1e-9): another span is rejected, not rounded to a new period."""
+        require_positive("h", h)
+        if not x_max > x_min:
+            raise ConfigError("x_max must exceed x_min", field="x_max")
+        steps = (x_max - x_min) / h
+        m_points = round(steps) if math.isfinite(steps) else 0
+        if not abs(steps - m_points) <= 1e-9 * m_points:
+            raise ConfigError(f"span {x_max - x_min:g} is not a multiple of h = {h:g}", field="h")
+        return cls(x_min, h, m_points, tau)
 
     @property
     def x_max(self) -> float:
@@ -168,8 +183,7 @@ def effective_dispersion(spec: SystemSpec, h: float) -> np.ndarray:
     first-derivative stencil, making the advective part fourth-order
     accurate.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    require_positive("h", h)
     c = np.asarray(spec.linear_speeds, dtype=float)
     d = np.asarray(spec.dispersions, dtype=float)
     return d - c * h * h / 6.0

@@ -3,7 +3,9 @@
 A run is described by a line-oriented ``key = value`` config (see
 ``CONFIG_KEYS``), executed by :func:`run_experiment`, and leaves behind a
 directory of snapshot CSVs, a diagnostics trace CSV, and a ``report.csv``
-manifest. Identical configs produce bit-identical CSV output.
+manifest. Identical configs produce bit-identical CSV output. A config is
+checked by building the system, step plan, grid and initial condition it
+describes; each constructor owns its rules, and a fault names the key.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
-    IC_KINDS,
     IC_SOLITON,
     IC_STRETCHED,
     IC_TRIANGLE,
@@ -40,20 +41,12 @@ from .model import (
     make_perturbed_hs,
     validate_spec,
 )
-from .stepper import RULE_MANUAL, RULES, StepPlan, advance, advise_tau
+from .stepper import StepPlan, advance, advise_tau
 
 SYSTEM_HS = "hirota_satsuma"
 SYSTEM_PERTURBED = "perturbed_hs"
 SYSTEM_KDV1 = "hs_kdv1"  # isolated first Hirota-Satsuma equation, N=1
 CUSTOM_PREFIX = "custom:"
-
-_FLOAT_KEYS = (
-    "d1", "x_min", "x_max", "h", "tau", "safety", "t_end", "snapshot_every",
-    "m", "d", "width_scale", "amp_scale", "amplitude", "half_width", "center",
-)
-_STR_KEYS = ("system", "tau_rule", "ic_kind", "output_dir")
-CONFIG_KEYS = _FLOAT_KEYS + _STR_KEYS
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -85,6 +78,11 @@ class RunConfig:
     output_dir: str = "ckdv_out"
 
 
+# the config keys are RunConfig's fields: numbers first, then strings
+_FLOAT_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.type.startswith("float"))
+CONFIG_KEYS = _FLOAT_KEYS + tuple(f.name for f in dataclasses.fields(RunConfig) if f.type == "str")
+
+
 @dataclass
 class RunReport:
     """Outcome of one run: snapshot files on disk plus the diagnostics trace."""
@@ -97,23 +95,31 @@ class RunReport:
     output_dir: Path
 
 
-def _parse_system_file(path: Path) -> SystemSpec:
-    """Read a custom system definition: n_modes, c, d, and repeatable term keys."""
-    if not path.exists():
-        raise ConfigError(f"custom system file not found: {path}", field="system")
-    n_modes = None
-    speeds: list[float] | None = None
-    disps: list[float] | None = None
-    terms: list[NonlinearTerm] = []
-    for lineno, rawline in enumerate(path.read_text().splitlines(), 1):
+def _read_key_values(path: Path, what: str, field: str | None = None):
+    """Yield ``(line number, key, value)`` per ``key = value`` line; ``#`` starts a
+    comment. An unreadable file or a line without ``=`` is a fault of ``field``."""
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}", field=field) from exc
+    for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'", field="system", line=lineno)
-        key = key.strip()
-        value = value.strip()
+            msg = f"{path} line {lineno}: expected 'key = value'"
+            raise ConfigError(msg, field=field, line=lineno)
+        yield lineno, key.strip(), value.strip()
+
+
+def _parse_system_file(path: Path) -> SystemSpec:
+    """Read a custom system definition: n_modes, c, d, and repeatable term keys."""
+    n_modes = None
+    speeds: list[float] | None = None
+    disps: list[float] | None = None
+    terms: list[NonlinearTerm] = []
+    for lineno, key, value in _read_key_values(path, "custom system file", field="system"):
         try:
             if key == "n_modes":
                 n_modes = int(value)
@@ -131,7 +137,7 @@ def _parse_system_file(path: Path) -> SystemSpec:
             else:
                 raise ValueError(f"unknown key '{key}'")
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}", field="system", line=lineno) from exc
+            raise ConfigError(f"{path} line {lineno}: {exc}", field="system", line=lineno) from exc
     if n_modes is None or speeds is None or disps is None:
         raise ConfigError(f"{path}: custom system needs n_modes, c and d", field="system")
     spec = SystemSpec(n_modes, tuple(speeds), tuple(disps), tuple(terms))
@@ -159,14 +165,12 @@ def build_system(config: RunConfig) -> SystemSpec:
 
 
 def build_initial_condition(config: RunConfig) -> InitialCondition:
-    if config.ic_kind == IC_TRIANGLE:
-        return InitialCondition(
-            IC_TRIANGLE,
-            pulse=TrianglePulse(config.amplitude, config.half_width, config.center),
-        )
+    triangle = config.ic_kind == IC_TRIANGLE
+    pulse = TrianglePulse(config.amplitude, config.half_width, config.center) if triangle else None
     return InitialCondition(
         config.ic_kind,
-        soliton=SolitonParams(config.m, config.d),
+        soliton=None if triangle else SolitonParams(config.m, config.d),
+        pulse=pulse,
         width_scale=config.width_scale,
         amp_scale=config.amp_scale,
     )
@@ -181,46 +185,32 @@ def _profile_width(config: RunConfig) -> float:
     return scale / abs(config.m)
 
 
-def validate_config(config: RunConfig) -> RunConfig:
-    """Check field invariants and fill the remaining defaults.
+# constructor parameter -> config key, where the two names differ
+_CONFIG_KEY = {"kind": "ic_kind", "rule": "tau_rule", "m_points": "h"}
 
-    Returns a fully resolved copy; raises :class:`ConfigError` naming the
-    offending field. The domain-width guard only warns.
+
+def _resolve(config: RunConfig):
+    """``(config, spec, plan, n_steps, grid, ic)``: each object a run needs, built once.
+
+    The constructors own their rules; their faults are only renamed to the
+    config key. Checked here, as no constructor owns them: finite numbers,
+    the snapshot interval (filled into ``config``) and the width warning.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}", field=key)
-    if config.h <= 0:
-        raise ConfigError(f"h must be positive, got {config.h}", field="h")
-    if config.t_end <= 0:
-        raise ConfigError(f"t_end must be positive, got {config.t_end}", field="t_end")
-    if config.x_max <= config.x_min:
-        raise ConfigError("x_max must exceed x_min", field="x_max")
-    if config.safety <= 0:
-        raise ConfigError(f"safety must be positive, got {config.safety}", field="safety")
-    if config.tau_rule not in RULES:
-        raise ConfigError(f"tau_rule must be one of {RULES}", field="tau_rule")
-    if config.tau_rule == RULE_MANUAL and config.tau is None:
-        raise ConfigError("manual tau_rule requires tau", field="tau")
-    if config.tau is not None and config.tau <= 0:
-        raise ConfigError(f"tau must be positive, got {config.tau}", field="tau")
-    if config.ic_kind not in IC_KINDS:
-        raise ConfigError(f"ic_kind must be one of {IC_KINDS}", field="ic_kind")
-    if config.ic_kind in (IC_SOLITON, IC_STRETCHED):
-        if config.m == 0:
-            raise ConfigError("soliton parameter m must be nonzero", field="m")
-        if abs(config.d) >= 1:
-            raise ConfigError("|d| must be < 1 (pole regime)", field="d")
-    if config.width_scale <= 0:
-        raise ConfigError("width_scale must be positive", field="width_scale")
-    if config.amp_scale <= 0:
-        raise ConfigError("amp_scale must be positive", field="amp_scale")
-    if config.ic_kind == IC_TRIANGLE:
-        if config.amplitude == 0:
-            raise ConfigError("triangle amplitude must be nonzero", field="amplitude")
-        if config.half_width <= 0:
-            raise ConfigError("triangle half_width must be positive", field="half_width")
+    try:
+        spec = build_system(config)
+        plan, n_steps = advise_tau(
+            spec, config.h, config.t_end, config.tau_rule, config.safety, tau=config.tau
+        ).fit_to_end()
+        grid = Grid.spanning(config.x_min, config.x_max, config.h, plan.tau)
+        ic = build_initial_condition(config)
+    except ConfigError as exc:
+        if exc.field not in _CONFIG_KEY:
+            raise
+        raise ConfigError(str(exc), field=_CONFIG_KEY[exc.field]) from None
 
     snapshot_every = config.snapshot_every
     if snapshot_every is None:
@@ -230,56 +220,41 @@ def validate_config(config: RunConfig) -> RunConfig:
     if snapshot_every > config.t_end:
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
 
-    build_system(config)  # validates the system selection, including custom files
-
     width = _profile_width(config)
     if config.x_max - config.x_min < 20.0 * width:
         warnings.warn(
             f"domain width {config.x_max - config.x_min:g} is below 20x the initial "
             f"profile width {width:g}; edge contamination possible",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return dataclasses.replace(config, snapshot_every=snapshot_every)
+    config = dataclasses.replace(config, snapshot_every=snapshot_every)
+    return config, spec, plan, n_steps, grid, ic
+
+
+def validate_config(config: RunConfig) -> RunConfig:
+    """Check ``config`` by building everything a run needs from it; return it
+    with ``snapshot_every`` filled in, or raise :class:`ConfigError` naming the key."""
+    return _resolve(config)[0]
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a ``key = value`` config file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    raw: dict[str, str] = {}
-    lines_of: dict[str, int] = {}
-    for lineno, rawline in enumerate(path.read_text().splitlines(), 1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key = value'", line=lineno)
-        key = key.strip()
-        value = value.strip()
+    kwargs: dict[str, object] = {}
+    for lineno, key, value in _read_key_values(path, "config file"):
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'", field=key, line=lineno)
-        if key in raw:
+        if key in kwargs:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'", field=key, line=lineno)
         if not value:
             raise ConfigError(f"line {lineno}: empty value for '{key}'", field=key, line=lineno)
-        raw[key] = value
-        lines_of[key] = lineno
-
-    kwargs: dict[str, object] = {}
-    for key, value in raw.items():
         if key in _FLOAT_KEYS:
             try:
-                kwargs[key] = float(value)
+                value = float(value)
             except ValueError:
-                raise ConfigError(
-                    f"line {lines_of[key]}: key '{key}' needs a number, got '{value}'",
-                    field=key,
-                    line=lines_of[key],
-                ) from None
-        else:
-            kwargs[key] = value
+                msg = f"line {lineno}: key '{key}' needs a number, got '{value}'"
+                raise ConfigError(msg, field=key, line=lineno) from None
+        kwargs[key] = value
     return validate_config(RunConfig(**kwargs))
 
 
@@ -367,15 +342,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     report carries the failing step and every artifact produced up to it
     stays on disk.
     """
-    config = validate_config(config)
-    spec = build_system(config)
-    ic = build_initial_condition(config)
-
-    plan0 = advise_tau(spec, config.h, config.t_end, config.tau_rule, config.safety, tau=config.tau)
-    plan, n_steps = plan0.fit_to_end()
-
-    m_points = int(round((config.x_max - config.x_min) / config.h))
-    grid = Grid(config.x_min, config.h, m_points, plan.tau)
+    config, spec, plan, n_steps, grid, ic = _resolve(config)
     x = grid.nodes()
 
     state0 = sample_initial(ic, grid)
@@ -391,7 +358,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     oracle = None
     amplitude = None
     if config.system == SYSTEM_HS and config.ic_kind == IC_SOLITON:
-        oracle = soliton_evaluator(SolitonParams(config.m, config.d), x)
+        oracle = soliton_evaluator(ic.soliton, x)
         amplitude = state0.max_norm()
 
     out_dir = Path(config.output_dir)
@@ -526,7 +493,7 @@ def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
         "fig2": [(1.0, d) for d in (0.0, 0.5)],
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = Grid(-20.0, 0.05, 800, 1.0)
+    grid = Grid.spanning(-20.0, 20.0, 0.05, 1.0)
     x = grid.nodes()
     paths = []
     for m, d in sweeps[preset.name]:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import BlowUpError, ConfigError, require_positive
 from .model import FieldSet, Grid, NonlinearTerm, SystemSpec, effective_dispersion
 
 RULE_PAPER_STRICT = "paper_strict"
@@ -41,7 +41,8 @@ RULE_MANUAL = "manual"
 RULES = (RULE_PAPER_STRICT, RULE_DISPERSIVE_CFL, RULE_MANUAL)
 
 # A layer has blown up when its max-norm exceeds this factor times the
-# initial max-norm (or contains non-finite entries).
+# max-norm of the state the stepping call started from (or contains
+# non-finite entries).
 BLOWUP_FACTOR = 1.0e6
 
 Observer = Callable[[int, FieldSet], None]
@@ -57,15 +58,14 @@ class StepPlan:
     t_end: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.safety <= 0:
-            raise ValueError("safety must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        require_positive("safety", self.safety)
+        require_positive("t_end", self.t_end)
+        require_positive("tau", self.tau)
 
     def fit_to_end(self) -> tuple[StepPlan, int]:
         """Fewest steps reaching ``t_end``, and this plan with tau shrunk to ``t_end / n_steps``."""
+        if not math.isfinite(self.t_end / self.tau):
+            raise ConfigError(f"t_end / tau = {self.t_end / self.tau} is not finite", field="tau")
         n_steps = max(1, math.ceil(self.t_end / self.tau - 1e-12))
         return replace(self, tau=self.t_end / n_steps), n_steps
 
@@ -119,12 +119,14 @@ class _Layer:
 
 
 class _Kernel:
-    """The scheme's right-hand side R, applied in place on padded layers.
+    """The scheme's right-hand side R, applied in place on padded layers,
+    and the one blow-up check.
 
     Holds three layers (current, intermediate, next) and every scratch
-    array, so ``stage`` allocates nothing. The scratch arrays span the
-    layers' flat ``core`` range, so each operation is one contiguous ufunc
-    over all modes; per-mode speeds and dispersions repeat along their rows.
+    array, so ``stage`` and ``check`` allocate nothing. The scratch arrays
+    span the layers' flat ``core`` range, so each operation is one
+    contiguous ufunc over all modes; per-mode speeds and dispersions repeat
+    along their rows.
 
     The operation order is fixed, and changing it changes the output bits:
     D1 = (u+1 - u-1) / 2h, D3 = ((u+2 - 2u+1) + 2u-1 - u-2) / 2h^3, the
@@ -132,7 +134,7 @@ class _Kernel:
     the sign of zero results), then R = c*D1 + acc + e*D3.
     """
 
-    def __init__(self, spec: SystemSpec, grid: Grid):
+    def __init__(self, spec: SystemSpec, grid: Grid, start: np.ndarray):
         n, m = spec.n_modes, grid.m_points
         self.shape = (n, m)
         self.layers = tuple(_Layer(n, m) for _ in range(3))
@@ -151,12 +153,26 @@ class _Kernel:
         self.d1_rows = [self.d1[i * w : i * w + m] for i in range(n)]
         self.acc_rows = [self.acc[i * w : i * w + m] for i in range(n)]
         self.term = np.empty(m)
+        self.magnitude = np.empty(n * w)
+        # the first layer holds the starting state, whose max-norm sets the blow-up limit
+        self.load(self.layers[0], start)
+        initial_max = float(np.max(np.abs(start)))
+        self.limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else np.inf
 
     def load(self, layer: _Layer, values: np.ndarray) -> None:
         if values.shape != self.shape:
             raise ValueError(f"state has shape {values.shape}, the run needs {self.shape}")
         layer.values[...] = values
         layer.wrap()
+
+    def check(self, layer: _Layer, step: int | None, time: float) -> None:
+        """Raise :class:`BlowUpError` if ``layer`` is non-finite or above the limit."""
+        # ghost cells repeat nodes, so the padded max-norm is the nodes';
+        # a NaN max-norm fails the comparison, so this catches non-finite layers
+        amax = float(np.abs(layer.flat, out=self.magnitude).max())
+        if not (amax <= self.limit) or not np.isfinite(amax):
+            where = "" if step is None else f" at step {step}"
+            raise BlowUpError(f"blow-up{where} (t ~ {time:.6g})", step=step, time=time)
 
     def stage(self, base: _Layer, arg: _Layer, dt: float, out: _Layer) -> None:
         """Set ``out`` to ``base - dt * R(arg)``, ghost cells included."""
@@ -184,12 +200,10 @@ class _Kernel:
 
 def half_step(state: FieldSet, spec: SystemSpec, grid: Grid) -> FieldSet:
     """Advance to the intermediate layer at t + tau/2."""
-    kern = _Kernel(spec, grid)
+    kern = _Kernel(spec, grid, state.values)
     cur, half, _ = kern.layers
-    kern.load(cur, state.values)
     kern.stage(cur, cur, 0.5 * grid.tau, half)
-    if not np.isfinite(half.values).all():
-        raise BlowUpError("non-finite values in half step", time=state.time)
+    kern.check(half, None, state.time)
     return FieldSet(half.values, state.time + 0.5 * grid.tau)
 
 
@@ -200,13 +214,11 @@ def full_step(state_j: FieldSet, state_half: FieldSet, spec: SystemSpec, grid: G
         raise ValueError(
             f"intermediate layer at t={state_half.time} does not sit tau/2 after t={state_j.time}"
         )
-    kern = _Kernel(spec, grid)
+    kern = _Kernel(spec, grid, state_j.values)
     cur, half, nxt = kern.layers
-    kern.load(cur, state_j.values)
     kern.load(half, state_half.values)
     kern.stage(cur, half, grid.tau, nxt)
-    if not np.isfinite(nxt.values).all():
-        raise BlowUpError("non-finite values in full step", time=state_j.time)
+    kern.check(nxt, None, state_j.time)
     return FieldSet(nxt.values, state_j.time + grid.tau)
 
 
@@ -252,36 +264,24 @@ def advance(
     ``observer(step, layer)`` is called after each completed step with the
     1-based step index. Raises :class:`BlowUpError` carrying the offending
     step index when a layer goes non-finite or its max-norm exceeds 1e6
-    times the initial max-norm.
+    times the initial max-norm; ``half_step`` and ``full_step`` apply the
+    same check to the layer they produce.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    kern = _Kernel(spec, grid)
+    kern = _Kernel(spec, grid, state.values)
     cur, half, nxt = kern.layers
-    kern.load(cur, state.values)
     tau = grid.tau
     t0 = state.time
-    initial_max = float(np.max(np.abs(state.values)))
-    limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else np.inf
-    magnitude = np.empty_like(cur.flat)
-
-    def check(layer: _Layer, j: int) -> None:
-        # ghost cells repeat nodes, so the padded max-norm is the nodes';
-        # a NaN max-norm fails the comparison, so this catches non-finite layers
-        amax = float(np.abs(layer.flat, out=magnitude).max())
-        if not (amax <= limit) or not np.isfinite(amax):
-            raise BlowUpError(
-                f"blow-up at step {j} (t ~ {t0 + j * tau:.6g})", step=j, time=t0 + j * tau
-            )
-
     for j in range(1, n_steps + 1):
+        t = t0 + j * tau
         kern.stage(cur, cur, 0.5 * tau, half)
-        check(half, j)
+        kern.check(half, j, t)
         kern.stage(cur, half, tau, nxt)
-        check(nxt, j)
+        kern.check(nxt, j, t)
         cur, nxt = nxt, cur
         if observer is not None:
-            observer(j, FieldSet(cur.values, t0 + j * tau))
+            observer(j, FieldSet(cur.values, t))
     return FieldSet(cur.values, t0 + n_steps * tau)
 
 
@@ -299,23 +299,30 @@ def advise_tau(
     ``tau * (3 e_max / h^3)^2 * t_end = safety``; ``dispersive_cfl`` is the
     practical explicit-scheme limit ``tau = safety * h^3 / (3 e_max)``
     (default safety 0.25); ``manual`` passes the caller's ``tau`` through.
-    Non-manual rules reject pure-advection systems (e_max = 0).
+    Non-manual rules reject pure-advection systems (e_max = 0). A given
+    ``tau``, like the one a rule computes, must be finite and positive.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    require_positive("h", h)
+    require_positive("t_end", t_end)
+    require_positive("safety", safety)
+    if tau is not None:
+        require_positive("tau", tau)
     if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+        raise ConfigError(f"unknown rule {rule!r}; expected one of {RULES}", field="rule")
     if rule == RULE_MANUAL:
         if tau is None:
-            raise ValueError("manual rule requires an explicit tau")
+            raise ConfigError("manual rule requires an explicit tau", field="tau")
         return StepPlan(tau=float(tau), rule=rule, safety=safety, t_end=t_end)
     e_max = float(np.max(np.abs(effective_dispersion(spec, h))))
     if e_max == 0.0:
-        raise ValueError("e_max is zero (pure advection); use the manual rule")
-    if rule == RULE_PAPER_STRICT:
-        chosen = safety * h**6 / (9.0 * e_max**2 * t_end)
-    else:
-        chosen = safety * h**3 / (3.0 * e_max)
+        raise ConfigError("e_max is zero (pure advection); use the manual rule", field="rule")
+    try:
+        if rule == RULE_PAPER_STRICT:
+            chosen = safety * h**6 / (9.0 * e_max**2 * t_end)
+        else:
+            chosen = safety * h**3 / (3.0 * e_max)
+    except OverflowError:  # float ** raises where * would give inf
+        chosen = math.nan
+    if not 0.0 < chosen < math.inf:
+        raise ConfigError(f"h = {h:g} gives no finite positive {rule} tau ({chosen:g})", field="h")
     return StepPlan(tau=chosen, rule=rule, safety=safety, t_end=t_end)

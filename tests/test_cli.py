@@ -80,3 +80,32 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
     assert main(["run", "--config", str(cfg)]) == 1
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["advise", "--h=-1", "--t-end", "1"], None, "h must be positive"),
+        (["advise", "--h", "inf", "--t-end", "1"], None, "h must be finite"),
+        (["advise", "--h", "1e200", "--t-end", "1"], None, "h = 1e+200"),
+        (["advise", "--h", "0.1", "--t-end", "nan"], None, "t_end must be finite"),
+        (["advise", "--h", "0.1", "--t-end", "inf"], None, "t_end must be finite"),
+        (["advise", "--h", "0.1", "--t-end", "1", "--safety", "nan"], None, "safety must be finite"),
+        (["converge", "--levels", "2"], None, "n_levels must be >= 3"),
+        (["converge", "--h0=-1"], None, "h must be positive"),
+        (["converge", "--t-end", "nan"], None, "t_end must be finite"),
+        (["converge", "--h0", "0.3"], None, "not a multiple of h"),
+        (["run"], "h = 30\n", "not a multiple of h"),
+        (["run"], "h = 1e200\n", "h = 1e+200"),
+        (["run"], "x_min = -0.001\nx_max = 0.001\n", "not a multiple of h"),
+        (["run"], "h = 0.03\n", "not a multiple of h"),
+    ],
+)
+def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + f"t_end = 0.01\noutput_dir = {tmp_path / 'out'}\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -1,0 +1,66 @@
+"""Property tests at the config boundary: every input is accepted or
+rejected with a ConfigError, and ``ckdv advise`` exits 0 or 1."""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckdv.cli import main
+from ckdv.errors import ConfigError
+from ckdv.runner import _FLOAT_KEYS, RunConfig, validate_config
+
+EDGE_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 0.03]
+)
+ANY_FLOAT = st.floats() | EDGE_FLOATS
+
+
+@pytest.fixture(scope="module")
+def custom_systems(tmp_path_factory):
+    root = tmp_path_factory.mktemp("systems")
+    good = root / "good.cfg"
+    good.write_text("n_modes = 2\nc = 0, 0\nd = -0.25, 0.5\nterm = 2, 1, 2, 1.5\n")
+    bad = root / "bad.cfg"
+    bad.write_text("n_modes = 1\nc = 0\nd = 0\nterm = 2, 1, 1, 1.0\n")
+    return [f"custom:{good}", f"custom:{bad}", f"custom:{root / 'missing.cfg'}"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    floats=st.dictionaries(st.sampled_from(_FLOAT_KEYS), ANY_FLOAT),
+    tau_rule=st.sampled_from(["dispersive_cfl", "paper_strict", "manual", "sometimes", ""]),
+    ic_kind=st.sampled_from(["hs_soliton", "stretched_soliton", "triangle_pulse", "plane_wave"]),
+    system=st.sampled_from(["hirota_satsuma", "perturbed_hs", "hs_kdv1", "unknown", 0, 1, 2]),
+)
+def test_validate_config_returns_or_raises_config_error(
+    custom_systems, floats, tau_rule, ic_kind, system
+):
+    if isinstance(system, int):
+        system = custom_systems[system]
+    config = RunConfig(system=system, tau_rule=tau_rule, ic_kind=ic_kind, **floats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            resolved = validate_config(config)
+        except ConfigError:
+            return
+    assert resolved.snapshot_every is not None
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    h=ANY_FLOAT,
+    t_end=ANY_FLOAT,
+    safety=ANY_FLOAT,
+    rule=st.sampled_from(["paper", "cfl"]),
+)
+def test_advise_exits_0_or_1(h, t_end, safety, rule):
+    argv = ["advise", f"--h={h!r}", f"--t-end={t_end!r}", f"--safety={safety!r}", "--rule", rule]
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        assert main(argv) in (0, 1)

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from ckdv.analytic import InitialCondition, SolitonParams, sample_initial
 from ckdv.errors import BlowUpError
-from ckdv.model import FieldSet, Grid, NonlinearTerm, SystemSpec, effective_dispersion
-from ckdv.stepper import BLOWUP_FACTOR, advance, single_mode_step
+from ckdv.model import (
+    FieldSet,
+    Grid,
+    NonlinearTerm,
+    SystemSpec,
+    effective_dispersion,
+    make_hirota_satsuma,
+)
+from ckdv.stepper import BLOWUP_FACTOR, advance, full_step, half_step, single_mode_step
 
 # three modes, nonzero linear speeds, three terms in mode 1's equation and
 # cross-couplings in both directions. Mode 1 has c < 0 and e < 0 and starts
@@ -131,3 +139,17 @@ def test_observer_layers_are_independent_snapshots():
 def test_advance_rejects_state_not_on_grid():
     with pytest.raises(ValueError):
         advance(FieldSet(np.zeros((3, 100)), 0.0), SPEC3, GRID3, 1)
+
+
+def test_single_steps_share_the_max_norm_blow_up_rule():
+    # at tau = 1e7 the half layer stays finite but grows ~1.9e6x: the
+    # max-norm limit, not finiteness, is what rejects it
+    grid = Grid(-20.0, 0.1, 400, 1e7)
+    hs = make_hirota_satsuma()
+    state = sample_initial(InitialCondition("hs_soliton", soliton=SolitonParams(1.0, 0.0)), grid)
+    with pytest.raises(BlowUpError) as info:
+        half_step(state, hs, grid)
+    assert info.value.step is None
+    bad_half = FieldSet(state.values * (2.0 * BLOWUP_FACTOR), 0.5 * grid.tau)
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError):
+        full_step(state, bad_half, hs, grid)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ckdv.errors import ConfigError
 from ckdv.model import (
     FieldSet,
     Grid,
@@ -145,3 +146,24 @@ def test_fieldset_finite_flag():
 def test_fieldset_requires_2d():
     with pytest.raises(ValueError):
         FieldSet(np.zeros(8), 0.0)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, h, m_points",
+    [(-20.0, 20.0, 0.05, 800), (-20.0, 20.0, 0.1, 400), (-32.0, 32.0, 0.1, 640),
+     (-150.0, 60.0, 0.1, 2100), (-17.5, 22.5, 0.125, 320)],
+)
+def test_grid_spanning_counts_whole_steps(x_min, x_max, h, m_points):
+    grid = Grid.spanning(x_min, x_max, h, 1e-3)
+    assert grid == Grid(x_min, h, m_points, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, h, field",
+    [(-20.0, 20.0, 0.03, "h"), (-0.001, 0.001, 0.05, "h"), (-20.0, 20.0, 30.0, "h"),
+     (-20.0, 20.0, 5e-324, "h"), (-20.0, -30.0, 0.05, "x_max"), (0.0, 1.0, -0.1, "h")],
+)
+def test_grid_spanning_rejects_spans_that_are_not_whole_steps(x_min, x_max, h, field):
+    with pytest.raises(ConfigError) as info:
+        Grid.spanning(x_min, x_max, h, 1e-3)
+    assert info.value.field == field

@@ -320,3 +320,51 @@ def test_oracle_presets_write_profiles(tmp_path):
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         run_preset("fig99")
+
+
+# ------------------------------------------------------- one build per run
+
+
+def test_validate_config_faults_from_constructors_name_config_keys():
+    for kwargs, field in [
+        (dict(ic_kind="triangle_pulse", amp_scale=0.0), "amp_scale"),
+        (dict(tau_rule="paper_strict", tau=-1.0), "tau"),
+        (dict(x_min=-0.1, x_max=0.1), "h"),
+        (dict(h=0.03), "h"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            validate_config(RunConfig(**kwargs))
+        assert info.value.field == field, f"{kwargs} should fault on {field}"
+
+
+def test_config_and_system_files_share_the_line_reader(tmp_path):
+    sysfile = tmp_path / "system.cfg"
+    sysfile.write_text("n_modes = 1\nc 0\n")
+    with pytest.raises(ConfigError) as info:
+        build_system(RunConfig(system=f"custom:{sysfile}"))
+    assert (info.value.field, info.value.line) == ("system", 2)
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "missing.cfg")
+    assert "cannot read config file" in str(info.value)
+
+
+def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch):
+    from ckdv import runner
+
+    sysfile = tmp_path / "system.cfg"
+    sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n")
+    config = quick_config(tmp_path, system=f"custom:{sysfile}", ic_kind="stretched_soliton")
+    names = ("_parse_system_file", "advise_tau", "build_initial_condition", "sample_initial")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
+    assert run_experiment(config).outcome == "completed"
+    assert calls == dict.fromkeys(names, 1)

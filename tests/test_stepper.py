@@ -5,7 +5,7 @@ import pytest
 
 from ckdv.analytic import InitialCondition, SolitonParams, sample_initial, soliton_evaluator
 from ckdv.diagnostics import l2_norm, mode_mass
-from ckdv.errors import BlowUpError
+from ckdv.errors import BlowUpError, ConfigError
 from ckdv.model import (
     FieldSet,
     Grid,
@@ -309,3 +309,29 @@ def test_step_plan_invariants():
         StepPlan(tau=0.0, rule="manual", safety=1.0, t_end=1.0)
     with pytest.raises(ValueError):
         StepPlan(tau=0.1, rule="manual", safety=-1.0, t_end=1.0)
+
+
+@pytest.mark.parametrize("rule", ["paper_strict", "dispersive_cfl", "manual"])
+def test_advise_tau_rejects_given_non_positive_tau_under_every_rule(rule):
+    with pytest.raises(ConfigError) as info:
+        advise_tau(HS, 0.1, 1.0, rule, tau=-2.0)
+    assert info.value.field == "tau"
+
+
+@pytest.mark.parametrize(
+    "h, t_end, safety, rule, field",
+    [(1e200, 1.0, 0.25, "dispersive_cfl", "h"), (1e200, 1.0, 0.25, "paper_strict", "h"),
+     (1e-120, 1.0, 0.25, "dispersive_cfl", "h"), (math.inf, 1.0, 0.25, "dispersive_cfl", "h"),
+     (0.1, math.nan, 0.25, "dispersive_cfl", "t_end"), (0.1, 1.0, math.nan, "paper_strict", "safety"),
+     (0.1, 1.0, 0.0, "dispersive_cfl", "safety"), (0.1, 1.0, 0.25, "sometimes", "rule")],
+)
+def test_advise_tau_faults_name_the_parameter(h, t_end, safety, rule, field):
+    with pytest.raises(ConfigError) as info:
+        advise_tau(HS, h, t_end, rule, safety)
+    assert info.value.field == field
+
+
+def test_fit_to_end_rejects_an_unbounded_step_count():
+    with pytest.raises(ConfigError) as info:
+        StepPlan(tau=5e-324, rule="manual", safety=1.0, t_end=1.0).fit_to_end()
+    assert info.value.field == "tau"
