@@ -16,7 +16,6 @@ from .model import (
     make_hirota_satsuma,
     make_hs_first_kdv,
     make_perturbed_hs,
-    validate_spec,
 )
 from .stepper import (
     RULE_DISPERSIVE_CFL,
@@ -25,8 +24,6 @@ from .stepper import (
     StepPlan,
     advance,
     advise_tau,
-    central_diff1,
-    central_diff3,
     full_step,
     half_step,
     single_mode_step,
@@ -79,15 +76,12 @@ __all__ = [
     "make_hirota_satsuma",
     "make_hs_first_kdv",
     "make_perturbed_hs",
-    "validate_spec",
     "RULE_DISPERSIVE_CFL",
     "RULE_MANUAL",
     "RULE_PAPER_STRICT",
     "StepPlan",
     "advance",
     "advise_tau",
-    "central_diff1",
-    "central_diff3",
     "full_step",
     "half_step",
     "single_mode_step",

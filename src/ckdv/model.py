@@ -42,8 +42,7 @@ class SystemSpec:
     """Coefficients defining an N-mode coupled KdV system.
 
     Immutable after construction; safe to share across concurrent runs.
-    Use :func:`validate_spec` to check the index invariants of data that
-    did not come from one of the factory functions.
+    Valid by construction: a malformed system raises :class:`ConfigError`.
     """
 
     n_modes: int
@@ -55,6 +54,32 @@ class SystemSpec:
         object.__setattr__(self, "linear_speeds", tuple(float(c) for c in self.linear_speeds))
         object.__setattr__(self, "dispersions", tuple(float(d) for d in self.dispersions))
         object.__setattr__(self, "nonlinear_terms", tuple(self.nonlinear_terms))
+        n = self.n_modes
+        if n < 1:
+            raise ConfigError(f"n_modes must be >= 1, got {n}", field="n_modes")
+        for field, what, values in (
+            ("linear_speeds", "linear speeds", self.linear_speeds),
+            ("dispersions", "dispersion constants", self.dispersions),
+        ):
+            if len(values) != n:
+                raise ConfigError(f"expected {n} {what}, got {len(values)}", field=field)
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{what} must be finite, got {values}", field=field)
+        seen: set[tuple[int, int, int]] = set()
+        for term in self.nonlinear_terms:
+            triple = (term.n, term.k, term.m)
+            name = f"term ({term.n},{term.k},{term.m})"
+            for label, idx in zip("nkm", triple):
+                if not 1 <= idx <= n:
+                    msg = f"index out of range: {name} has {label}={idx} outside [1, {n}]"
+                    raise ConfigError(msg, field="nonlinear_terms")
+            if not math.isfinite(term.coef):
+                msg = f"{name} coefficient must be finite, got {term.coef}"
+                raise ConfigError(msg, field="nonlinear_terms")
+            if triple in seen:
+                msg = f"duplicate {name}; pre-sum repeated coefficients"
+                raise ConfigError(msg, field="nonlinear_terms")
+            seen.add(triple)
 
 
 @dataclass(frozen=True)
@@ -187,28 +212,3 @@ def effective_dispersion(spec: SystemSpec, h: float) -> np.ndarray:
     c = np.asarray(spec.linear_speeds, dtype=float)
     d = np.asarray(spec.dispersions, dtype=float)
     return d - c * h * h / 6.0
-
-
-def validate_spec(spec: SystemSpec) -> str | None:
-    """Check SystemSpec invariants; return a description of the first
-    violation found, or ``None`` when the system definition is well formed."""
-    n = spec.n_modes
-    if n < 1:
-        return f"n_modes must be >= 1, got {n}"
-    if len(spec.linear_speeds) != n:
-        return f"expected {n} linear speeds, got {len(spec.linear_speeds)}"
-    if len(spec.dispersions) != n:
-        return f"expected {n} dispersion constants, got {len(spec.dispersions)}"
-    seen: set[tuple[int, int, int]] = set()
-    for term in spec.nonlinear_terms:
-        for label, idx in (("n", term.n), ("k", term.k), ("m", term.m)):
-            if not 1 <= idx <= n:
-                return (
-                    f"index out of range: term ({term.n},{term.k},{term.m}) "
-                    f"has {label}={idx} outside [1, {n}]"
-                )
-        triple = (term.n, term.k, term.m)
-        if triple in seen:
-            return f"duplicate term ({term.n},{term.k},{term.m}); pre-sum repeated coefficients"
-        seen.add(triple)
-    return None

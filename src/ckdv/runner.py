@@ -39,7 +39,6 @@ from .model import (
     make_hirota_satsuma,
     make_hs_first_kdv,
     make_perturbed_hs,
-    validate_spec,
 )
 from .stepper import StepPlan, advance, advise_tau
 
@@ -140,11 +139,10 @@ def _parse_system_file(path: Path) -> SystemSpec:
             raise ConfigError(f"{path} line {lineno}: {exc}", field="system", line=lineno) from exc
     if n_modes is None or speeds is None or disps is None:
         raise ConfigError(f"{path}: custom system needs n_modes, c and d", field="system")
-    spec = SystemSpec(n_modes, tuple(speeds), tuple(disps), tuple(terms))
-    fault = validate_spec(spec)
-    if fault is not None:
-        raise ConfigError(f"{path}: {fault}", field="system")
-    return spec
+    try:
+        return SystemSpec(n_modes, tuple(speeds), tuple(disps), tuple(terms))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}", field="system") from None
 
 
 def build_system(config: RunConfig) -> SystemSpec:
@@ -188,13 +186,22 @@ def _profile_width(config: RunConfig) -> float:
 # constructor parameter -> config key, where the two names differ
 _CONFIG_KEY = {"kind": "ic_kind", "rule": "tau_rule", "m_points": "h"}
 
+# config-file initial data fills the two Hirota-Satsuma modes (see sample_initial)
+_IC_MODES = 2
+
+
+def _has_oracle(config: RunConfig) -> bool:
+    """Whether a run of ``config`` is traced against the closed-form soliton."""
+    return config.system == SYSTEM_HS and config.ic_kind == IC_SOLITON
+
 
 def _resolve(config: RunConfig):
     """``(config, spec, plan, n_steps, grid, ic)``: each object a run needs, built once.
 
     The constructors own their rules; their faults are only renamed to the
     config key. Checked here, as no constructor owns them: finite numbers,
-    the snapshot interval (filled into ``config``) and the width warning.
+    the snapshot interval (filled into ``config``), the width warning and
+    a system with more modes than the initial data fills.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
@@ -226,6 +233,12 @@ def _resolve(config: RunConfig):
             f"domain width {config.x_max - config.x_min:g} is below 20x the initial "
             f"profile width {width:g}; edge contamination possible",
             stacklevel=3,
+        )
+    if spec.n_modes > _IC_MODES:
+        raise ConfigError(
+            f"initial condition provides {_IC_MODES} modes but the system has "
+            f"{spec.n_modes}; build the initial FieldSet through the library API instead",
+            field="ic_kind",
         )
     config = dataclasses.replace(config, snapshot_every=snapshot_every)
     return config, spec, plan, n_steps, grid, ic
@@ -334,6 +347,15 @@ def _write_report(
             writer.writerow(["snapshot", str(idx), snap_path.name])
 
 
+def _make_output_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        msg = f"cannot create output_dir {path}: {exc.strerror}"
+        raise ConfigError(msg, field="output_dir") from exc
+    return path
+
+
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute one configured run, writing snapshots, trace and manifest.
 
@@ -348,21 +370,14 @@ def run_experiment(config: RunConfig) -> RunReport:
     state0 = sample_initial(ic, grid)
     if spec.n_modes < state0.n_modes:
         state0 = FieldSet(state0.values[: spec.n_modes], state0.time)
-    elif spec.n_modes > state0.n_modes:
-        raise ConfigError(
-            f"initial condition provides {state0.n_modes} modes but the system has "
-            f"{spec.n_modes}; build the initial FieldSet through the library API instead",
-            field="ic_kind",
-        )
 
     oracle = None
     amplitude = None
-    if config.system == SYSTEM_HS and config.ic_kind == IC_SOLITON:
+    if _has_oracle(config):
         oracle = soliton_evaluator(ic.soliton, x)
         amplitude = state0.max_norm()
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_output_dir(Path(config.output_dir))
 
     trace = DiagnosticTrace()
     snapshots: list[tuple[float, Path]] = []
@@ -402,41 +417,38 @@ def run_experiment(config: RunConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class Preset:
-    """A canned experiment. ``kind`` is ``simulation`` or ``oracle``; oracle
-    presets only evaluate the closed-form solution (no time stepping).
-    ``oracle`` flags whether percent-error columns appear in the trace."""
+    """A canned experiment. A preset without a ``config`` only evaluates the
+    closed-form solution (no time stepping)."""
 
     name: str
     description: str
-    kind: str
-    oracle: bool
     config: RunConfig | None
+
+    @property
+    def kind(self) -> str:
+        """``oracle`` for closed-form profiles only, else ``simulation``."""
+        return "oracle" if self.config is None else "simulation"
+
+    @property
+    def oracle(self) -> bool:
+        """Whether percent-error columns appear in the trace."""
+        return self.config is not None and _has_oracle(self.config)
 
 
 def list_presets() -> tuple[Preset, ...]:
     """Preset experiments; parameter fills are recorded choices, see README."""
     return (
-        Preset(
-            "fig1",
-            "soliton profiles for m in {0.5, 1, 1.5} at d=0 (oracle plots only)",
-            "oracle", False, None,
-        ),
-        Preset(
-            "fig2",
-            "soliton profiles for d in {0, 0.5} at m=1 (oracle plots only)",
-            "oracle", False, None,
-        ),
+        Preset("fig1", "soliton profiles for m in {0.5, 1, 1.5} at d=0 (oracle plots only)", None),
+        Preset("fig2", "soliton profiles for d in {0, 0.5} at m=1 (oracle plots only)", None),
         Preset(
             "fig3",
             "soliton accuracy run m=1 d=0 to t=1 with percent-error trace",
-            "simulation", True,
             RunConfig(t_end=1.0, snapshot_every=0.1, output_dir="ckdv_out/fig3"),
         ),
         Preset(
             "fig4a",
             "multi-soliton decay of the isolated first equation (N=1 reduction), "
             "stretched initial data (10x width, 2x amplitude)",
-            "simulation", False,
             RunConfig(
                 system=SYSTEM_KDV1,
                 ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
@@ -449,7 +461,6 @@ def list_presets() -> tuple[Preset, ...]:
             "fig4b",
             "multi-soliton decay of the full two-mode system, stretched initial data "
             "(soliton count estimated by peak detection)",
-            "simulation", False,
             RunConfig(
                 ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
                 x_min=-150.0, x_max=60.0, h=0.1,
@@ -460,7 +471,6 @@ def list_presets() -> tuple[Preset, ...]:
         Preset(
             "fig5",
             "slightly nonintegrable system (d1=-0.2) fed the integrable soliton",
-            "simulation", False,
             RunConfig(
                 system=SYSTEM_PERTURBED, d1=-0.2,
                 t_end=0.5, snapshot_every=0.05,
@@ -470,7 +480,6 @@ def list_presets() -> tuple[Preset, ...]:
         Preset(
             "fig6",
             "non-smooth (triangle pulse) initial data on the two-mode system",
-            "simulation", False,
             RunConfig(
                 ic_kind=IC_TRIANGLE, amplitude=1.0, half_width=2.0, center=0.0,
                 t_end=0.5, snapshot_every=0.05,
@@ -492,7 +501,7 @@ def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
         "fig1": [(m, 0.0) for m in (0.5, 1.0, 1.5)],
         "fig2": [(1.0, d) for d in (0.0, 0.5)],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(out_dir)
     grid = Grid.spanning(-20.0, 20.0, 0.05, 1.0)
     x = grid.nodes()
     paths = []

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -68,25 +68,6 @@ class StepPlan:
             raise ConfigError(f"t_end / tau = {self.t_end / self.tau} is not finite", field="tau")
         n_steps = max(1, math.ceil(self.t_end / self.tau - 1e-12))
         return replace(self, tau=self.t_end / n_steps), n_steps
-
-
-def central_diff1(field: Sequence[float], i: int, h: float) -> float:
-    """Centered first difference (f_{i+1} - f_{i-1}) / 2h with periodic wrap."""
-    f = np.asarray(field, dtype=float)
-    m = f.size
-    return (f[(i + 1) % m] - f[(i - 1) % m]) / (2.0 * h)
-
-
-def central_diff3(field: Sequence[float], i: int, h: float) -> float:
-    """Centered third difference over the five-point stencil, periodic wrap.
-
-    (f_{i+2} - 2 f_{i+1} + 2 f_{i-1} - f_{i-2}) / 2h^3; exact for cubics.
-    """
-    f = np.asarray(field, dtype=float)
-    m = f.size
-    return (
-        f[(i + 2) % m] - 2.0 * f[(i + 1) % m] + 2.0 * f[(i - 1) % m] - f[(i - 2) % m]
-    ) / (2.0 * h**3)
 
 
 class _Layer:

@@ -3,6 +3,13 @@ import pytest
 from ckdv.cli import main
 from ckdv.runner import _FLOAT_KEYS
 
+# custom system files written next to each faulty config as {tmp}/<name>
+SYSTEM_FILES = {
+    "nan_c.sys": "n_modes = 2\nc = nan, 0\nd = -0.25, 0.5\n",
+    "inf_term.sys": "n_modes = 2\nc = 0, 0\nd = -0.25, 0.5\nterm = 1, 1, 1, inf\n",
+}
+MANUAL = "tau_rule = manual\ntau = 1e-4\n"
+
 
 def test_presets_listing(capsys):
     assert main(["presets"]) == 0
@@ -99,13 +106,32 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["run"], "h = 1e200\n", "h = 1e+200"),
         (["run"], "x_min = -0.001\nx_max = 0.001\n", "not a multiple of h"),
         (["run"], "h = 0.03\n", "not a multiple of h"),
+        (["run"], "system = custom:{tmp}/nan_c.sys\n", "nan_c.sys: linear speeds must be finite"),
+        (["run"], MANUAL + "system = custom:{tmp}/nan_c.sys\n", "nan_c.sys: linear speeds"),
+        (["run"], "system = custom:{tmp}/inf_term.sys\n", "inf_term.sys: term (1,1,1) coef"),
+        (["run"], MANUAL + "system = custom:{tmp}/inf_term.sys\n", "inf_term.sys: term (1,1,1)"),
     ],
 )
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):
     if config is not None:
+        for name, text in SYSTEM_FILES.items():
+            (tmp_path / name).write_text(text)
         cfg = tmp_path / "run.cfg"
+        config = config.format(tmp=tmp_path)
         cfg.write_text(config + f"t_end = 0.01\noutput_dir = {tmp_path / 'out'}\n")
         argv = argv + ["--config", str(cfg)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_run_output_dir_that_is_a_file_is_a_config_fault(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 0.1\nt_end = 0.01\noutput_dir = {taken}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot create output_dir {taken}: File exists\n"
+    assert main(["preset", "fig1", "--out", str(taken / "fig1")]) == 1
+    assert "cannot create output_dir" in capsys.readouterr().err

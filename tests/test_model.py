@@ -11,7 +11,6 @@ from ckdv.model import (
     make_hirota_satsuma,
     make_hs_first_kdv,
     make_perturbed_hs,
-    validate_spec,
 )
 
 
@@ -85,31 +84,33 @@ def test_effective_dispersion_rejects_bad_h():
 
 
 def test_validate_spec_accepts_factories():
-    assert validate_spec(make_hirota_satsuma()) is None
-    assert validate_spec(make_perturbed_hs(-0.2)) is None
-    assert validate_spec(make_hs_first_kdv()) is None
+    # a SystemSpec checks itself when built, so the factories' specs are well formed
+    for spec in (make_hirota_satsuma(), make_perturbed_hs(-0.2), make_hs_first_kdv()):
+        rebuilt = SystemSpec(spec.n_modes, spec.linear_speeds, spec.dispersions, spec.nonlinear_terms)
+        assert rebuilt == spec
 
 
 def test_validate_spec_index_out_of_range():
-    spec = SystemSpec(2, (0.0, 0.0), (1.0, 1.0), (NonlinearTerm(3, 1, 1, 1.0),))
-    fault = validate_spec(spec)
-    assert fault is not None and "index out of range" in fault
+    # index 0 would otherwise wrap to mode N in the 0-based kernel
+    for term in (NonlinearTerm(3, 1, 1, 1.0), NonlinearTerm(0, 1, 1, 1.0)):
+        with pytest.raises(ConfigError, match="index out of range") as info:
+            SystemSpec(2, (0.0, 0.0), (1.0, 1.0), (term,))
+        assert info.value.field == "nonlinear_terms"
 
 
 def test_validate_spec_duplicate_triple():
-    spec = SystemSpec(
-        2,
-        (0.0, 0.0),
-        (1.0, 1.0),
-        (NonlinearTerm(1, 2, 2, 1.0), NonlinearTerm(1, 2, 2, 0.5)),
-    )
-    fault = validate_spec(spec)
-    assert fault is not None and "duplicate term" in fault
+    with pytest.raises(ConfigError, match="duplicate term"):
+        SystemSpec(
+            2,
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (NonlinearTerm(1, 2, 2, 1.0), NonlinearTerm(1, 2, 2, 0.5)),
+        )
 
 
 def test_validate_spec_length_mismatch():
-    spec = SystemSpec(2, (0.0,), (1.0, 1.0), ())
-    assert validate_spec(spec) is not None
+    with pytest.raises(ConfigError, match="expected 2 linear speeds"):
+        SystemSpec(2, (0.0,), (1.0, 1.0), ())
 
 
 def test_grid_invariants():

@@ -126,7 +126,9 @@ def test_config_round_trip(tmp_path):
     assert reloaded == config
 
 
-def test_validate_config_faults_name_fields():
+def test_validate_config_faults_name_fields(tmp_path):
+    three = tmp_path / "three.cfg"
+    three.write_text("n_modes = 3\nc = 0, 0, 0\nd = 1, 1, 1\n")
     for kwargs, field in [
         (dict(t_end=-1.0), "t_end"),
         (dict(x_max=-30.0), "x_max"),
@@ -142,6 +144,7 @@ def test_validate_config_faults_name_fields():
         (dict(ic_kind="triangle_pulse", amplitude=0.0), "amplitude"),
         (dict(ic_kind="triangle_pulse", half_width=0.0), "half_width"),
         (dict(system="unknown_system"), "system"),
+        (dict(system=f"custom:{three}"), "ic_kind"),
     ]:
         with pytest.raises(ConfigError) as info:
             validate_config(RunConfig(**kwargs))

@@ -18,8 +18,6 @@ from ckdv.stepper import (
     StepPlan,
     advance,
     advise_tau,
-    central_diff1,
-    central_diff3,
     full_step,
     half_step,
     single_mode_step,
@@ -33,59 +31,6 @@ def steps_for(spec, h, t_end, safety=0.25):
     plan = advise_tau(spec, h, t_end, "dispersive_cfl", safety)
     n = max(1, math.ceil(t_end / plan.tau - 1e-12))
     return n, t_end / n
-
-
-# ---------------------------------------------------------------- stencils
-
-
-def test_diff1_exact_for_quadratic():
-    h = 0.25
-    i = 8
-    x = (np.arange(17) - i) * h + 1.0
-    assert central_diff1(x * x, i, h) == 2.0
-
-
-def test_diff1_zero_on_constant():
-    f = np.full(12, 3.7)
-    for i in range(12):
-        assert central_diff1(f, i, h=0.3) == 0.0
-
-
-def test_diff1_sin_truncation():
-    # error bound h^2/6 * max|f'''| = 1e-4/6 for sin
-    h = 0.01
-    i = 50
-    x = (np.arange(101) - i) * h
-    err = abs(central_diff1(np.sin(x), i, h) - 1.0)
-    assert err <= 1.7e-5
-
-
-def test_diff3_exact_for_cubic():
-    h = 0.5
-    i = 6
-    x = (np.arange(13) - i) * h + 1.0
-    assert central_diff3(x**3, i, h) == 6.0
-
-
-def test_diff3_zero_on_constant():
-    f = np.full(9, -1.25)
-    for i in range(9):
-        assert central_diff3(f, i, h=0.1) == 0.0
-
-
-def test_diff3_sin_at_half_pi():
-    # f''' = -cos vanishes at pi/2; the symmetric stencil nearly cancels
-    h = 0.01
-    i = 50
-    x = (np.arange(101) - i) * h + np.pi / 2
-    assert abs(central_diff3(np.sin(x), i, h)) <= 2e-5
-
-
-def test_diff_periodic_wrap():
-    f = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    # at i=0 the left neighbour is f[-1]
-    assert central_diff1(f, 0, 1.0) == (f[1] - f[5]) / 2.0
-    assert central_diff3(f, 5, 1.0) == (f[1] - 2 * f[0] + 2 * f[4] - f[3]) / 2.0
 
 
 # ---------------------------------------------------------------- steps
