@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, require_positive
+
+
+def _is_index(value) -> bool:
+    # a count or mode index: any integer type, but not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,8 @@ class SystemSpec:
         object.__setattr__(self, "dispersions", tuple(float(d) for d in self.dispersions))
         object.__setattr__(self, "nonlinear_terms", tuple(self.nonlinear_terms))
         n = self.n_modes
+        if not _is_index(n):
+            raise ConfigError(f"n_modes must be an integer, got {n!r}", field="n_modes")
         if n < 1:
             raise ConfigError(f"n_modes must be >= 1, got {n}", field="n_modes")
         for field, what, values in (
@@ -70,6 +78,9 @@ class SystemSpec:
             triple = (term.n, term.k, term.m)
             name = f"term ({term.n},{term.k},{term.m})"
             for label, idx in zip("nkm", triple):
+                if not _is_index(idx):
+                    msg = f"{name} has {label}={idx!r}, not an integer"
+                    raise ConfigError(msg, field="nonlinear_terms")
                 if not 1 <= idx <= n:
                     msg = f"index out of range: {name} has {label}={idx} outside [1, {n}]"
                     raise ConfigError(msg, field="nonlinear_terms")

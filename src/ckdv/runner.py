@@ -10,7 +10,6 @@ describes; each constructor owns its rules, and a fault names the key.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import warnings
@@ -285,16 +284,28 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
     return path
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_csv(path: Path, header: list[str], row_template: str, rows) -> None:
+    """Write the ``header`` line, then ``row_template % row`` for each row.
 
-
-def _write_snapshot(path: Path, x: np.ndarray, state: FieldSet) -> None:
+    Rows are streamed, not joined into one string of the whole file first.
+    ``%.17g`` in a template formats a float exactly as ``format(v, ".17g")``
+    does, which round-trips every float64.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x"] + [f"theta_{n + 1}" for n in range(state.n_modes)])
-        for i in range(state.m_points):
-            writer.writerow([_fmt(x[i])] + [_fmt(state.values[n, i]) for n in range(state.n_modes)])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_template % row for row in rows)
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """``%.17g`` strings of ``values``, for a column written many times."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
+def _write_snapshot(path: Path, x: list[str], state: FieldSet) -> None:
+    """Write one layer; ``x`` is the node column from :func:`_format_column`."""
+    header = ["x"] + [f"theta_{n + 1}" for n in range(state.n_modes)]
+    row_template = "%s" + ",%.17g" * state.n_modes + "\n"
+    _write_csv(path, header, row_template, zip(x, *state.values.tolist()))
 
 
 def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
@@ -302,22 +313,15 @@ def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
     header = ["t"]
     header += [f"l2_{k + 1}" for k in range(n)]
     header += [f"mass_{k + 1}" for k in range(n)]
+    columns = [trace.times, *trace.l2_norms, *trace.mass]
     if trace.hs_invariant:
         header.append("Q")
+        columns.append(trace.hs_invariant)
     if trace.max_percent_error:
         header += [f"max_pct_err_{k + 1}" for k in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in range(trace.n_records):
-            row = [_fmt(trace.times[rec])]
-            row += [_fmt(trace.l2_norms[k][rec]) for k in range(n)]
-            row += [_fmt(trace.mass[k][rec]) for k in range(n)]
-            if trace.hs_invariant:
-                row.append(_fmt(trace.hs_invariant[rec]))
-            if trace.max_percent_error:
-                row += [_fmt(trace.max_percent_error[k][rec]) for k in range(n)]
-            writer.writerow(row)
+        columns += trace.max_percent_error
+    row_template = ",".join(["%.17g"] * len(columns)) + "\n"
+    _write_csv(path, header, row_template, zip(*columns))
 
 
 def _write_report(
@@ -329,22 +333,42 @@ def _write_report(
     blow_up_step: int | None,
     snapshots: list[tuple[float, Path]],
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "key", "value"])
-        writer.writerow(["plan", "rule", plan.rule])
-        writer.writerow(["plan", "safety", _fmt(plan.safety)])
-        writer.writerow(["plan", "tau", _fmt(plan.tau)])
-        writer.writerow(["plan", "t_end", _fmt(plan.t_end)])
-        writer.writerow(["plan", "n_steps", str(n_steps)])
-        writer.writerow(["grid", "x_min", _fmt(grid.x_min)])
-        writer.writerow(["grid", "h", _fmt(grid.h)])
-        writer.writerow(["grid", "m_points", str(grid.m_points)])
-        writer.writerow(["run", "outcome", outcome])
-        if blow_up_step is not None:
-            writer.writerow(["run", "blow_up_step", str(blow_up_step)])
-        for idx, (_, snap_path) in enumerate(snapshots):
-            writer.writerow(["snapshot", str(idx), snap_path.name])
+    rows = [
+        ("plan", "rule", plan.rule),
+        ("plan", "safety", "%.17g" % plan.safety),
+        ("plan", "tau", "%.17g" % plan.tau),
+        ("plan", "t_end", "%.17g" % plan.t_end),
+        ("plan", "n_steps", n_steps),
+        ("grid", "x_min", "%.17g" % grid.x_min),
+        ("grid", "h", "%.17g" % grid.h),
+        ("grid", "m_points", grid.m_points),
+        ("run", "outcome", outcome),
+    ]
+    if blow_up_step is not None:
+        rows.append(("run", "blow_up_step", blow_up_step))
+    rows += [("snapshot", idx, snap_path.name) for idx, (_, snap_path) in enumerate(snapshots)]
+    _write_csv(path, ["kind", "key", "value"], "%s,%s,%s\n", rows)
+
+
+def _snapshot_steps(per_snapshot: float, n_steps: int):
+    """Yield, in order, the steps of a run that end with a snapshot.
+
+    ``per_snapshot`` is the snapshot interval in steps. Step ``j`` takes a
+    snapshot when it is the first to reach ``k * per_snapshot`` for some
+    ``k >= 1``, less a tolerance of 1e-9 of an interval, and the last step
+    ``n_steps`` always does. Each step index costs O(1) to find, however
+    small the interval.
+    """
+    tolerance = 1e-9 * per_snapshot
+    step = 0
+    while step < n_steps:
+        if per_snapshot <= 1.0:
+            step += 1  # an interval of at most one step ends on every step
+        else:
+            k = math.floor(step / per_snapshot + 1e-9) + 1
+            step = max(step + 1, math.ceil(k * per_snapshot - tolerance))
+        step = min(step, n_steps)
+        yield step
 
 
 def _make_output_dir(path: Path) -> Path:
@@ -366,6 +390,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     """
     config, spec, plan, n_steps, grid, ic = _resolve(config)
     x = grid.nodes()
+    x_column = _format_column(x)
 
     state0 = sample_initial(ic, grid)
     if spec.n_modes < state0.n_modes:
@@ -385,22 +410,19 @@ def run_experiment(config: RunConfig) -> RunReport:
     def emit(state: FieldSet) -> None:
         idx = len(snapshots)
         snap_path = out_dir / f"snap_{idx:04d}_t{state.time:.6f}.csv"
-        _write_snapshot(snap_path, x, state)
+        _write_snapshot(snap_path, x_column, state)
         snapshots.append((state.time, snap_path))
         trace.record(state, grid.h, oracle, amplitude)
 
     emit(state0)
-
-    snap_interval = config.snapshot_every
-    eps = 1e-9 * snap_interval
-    next_snap = snap_interval
+    snap_steps = _snapshot_steps(config.snapshot_every / grid.tau, n_steps)
+    next_snap = next(snap_steps)
 
     def observer(step: int, state: FieldSet) -> None:
         nonlocal next_snap
-        if state.time + eps >= next_snap or step == n_steps:
+        if step == next_snap:
             emit(state)
-            while next_snap <= state.time + eps:
-                next_snap += snap_interval
+            next_snap = next(snap_steps, None)
 
     outcome = "completed"
     blow_up_step = None
@@ -504,12 +526,13 @@ def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
     _make_output_dir(out_dir)
     grid = Grid.spanning(-20.0, 20.0, 0.05, 1.0)
     x = grid.nodes()
+    x_column = _format_column(x)
     paths = []
     for m, d in sweeps[preset.name]:
         evaluate = soliton_evaluator(SolitonParams(m, d), x)
         state = FieldSet(evaluate(0.0), 0.0)
         path = out_dir / f"oracle_m{m:g}_d{d:g}.csv"
-        _write_snapshot(path, x, state)
+        _write_snapshot(path, x_column, state)
         paths.append(path)
     return paths
 

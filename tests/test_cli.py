@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ckdv
 from ckdv.cli import main
 from ckdv.runner import _FLOAT_KEYS
 
@@ -47,6 +53,23 @@ def test_run_config_exit_codes(tmp_path, capsys):
     bad.write_text("h = -1\n")
     assert main(["run", "--config", str(bad)]) == 1
     assert "h must be positive" in capsys.readouterr().err
+
+
+def test_run_tiny_snapshot_interval_exits_promptly(tmp_path):
+    # a snapshot schedule kept as a running float sum never passes t_end here
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "h = 0.5\nt_end = 0.001\nsnapshot_every = 1e-300\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    # a child process, so a hang fails the test at the timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(ckdv.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ckdv.cli", "run", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "2 snapshots" in result.stdout
 
 
 def test_run_blow_up_exit_code(tmp_path, capsys):

@@ -98,6 +98,29 @@ def test_validate_spec_index_out_of_range():
         assert info.value.field == "nonlinear_terms"
 
 
+@pytest.mark.parametrize(
+    "n_modes, term",
+    [
+        (True, None),
+        (2.0, None),
+        (2, NonlinearTerm(1.5, 1, 1, 1.0)),
+        (2, NonlinearTerm(1, True, 1, 1.0)),
+        (2, NonlinearTerm(1, 1, 2.0, 1.0)),
+    ],
+)
+def test_spec_rejects_non_integer_counts_and_indices(n_modes, term):
+    # a float index would reach the kernel's list indexing as a raw TypeError
+    terms = () if term is None else (term,)
+    with pytest.raises(ConfigError, match="integer") as info:
+        SystemSpec(n_modes, (0.0, 0.0), (1.0, 1.0), terms)
+    assert info.value.field == ("n_modes" if term is None else "nonlinear_terms")
+
+
+def test_spec_accepts_numpy_integer_indices():
+    spec = SystemSpec(np.int64(2), (0.0, 0.0), (1.0, 1.0), (NonlinearTerm(np.int64(1), 2, 2, 1.0),))
+    assert spec.n_modes == 2
+
+
 def test_validate_spec_duplicate_triple():
     with pytest.raises(ConfigError, match="duplicate term"):
         SystemSpec(

@@ -1,0 +1,153 @@
+"""Byte-level checks of the snapshot and trace CSV writers.
+
+Every number is written as ``%.17g``. The golden files pin the spellings
+of the awkward values (``-0``, ``nan``, ``inf``, the smallest subnormal);
+the property compares the writers with a ``csv.writer`` transcription.
+"""
+
+import csv
+import io
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckdv.diagnostics import DiagnosticTrace
+from ckdv.model import FieldSet
+from ckdv.runner import _write_snapshot, _write_trace
+
+SPECIAL = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 0.1, 1 / 3, 1e22]
+
+
+def x_column(x):
+    # the node column as run_experiment formats it once per run
+    return ["%.17g" % v for v in x]
+
+
+def write_snapshot(tmp_path, x, values):
+    path = tmp_path / "snap.csv"
+    _write_snapshot(path, x_column(x), FieldSet(np.array(values, dtype=float), 0.0))
+    return path.read_bytes()
+
+
+def write_trace(tmp_path, trace):
+    path = tmp_path / "trace.csv"
+    _write_trace(path, trace)
+    return path.read_bytes()
+
+
+def transcribe(header, rows):
+    """The reference writer: csv.writer with every value as format(v, '.17g')."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") for v in row])
+    return buf.getvalue().encode()
+
+
+def test_snapshot_golden_bytes_one_mode(tmp_path):
+    x = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+    assert write_snapshot(tmp_path, x, [SPECIAL]) == (
+        b"x,theta_1\n"
+        b"-2,-0\n"
+        b"-1.5,0\n"
+        b"-1,nan\n"
+        b"-0.5,inf\n"
+        b"0,-inf\n"
+        b"0.5,4.9406564584124654e-324\n"
+        b"1,0.10000000000000001\n"
+        b"1.5,0.33333333333333331\n"
+        b"2,1e+22\n"
+    )
+
+
+def test_snapshot_golden_bytes_three_modes(tmp_path):
+    rows = [SPECIAL, SPECIAL[3:] + SPECIAL[:3], SPECIAL[::-1]]
+    assert write_snapshot(tmp_path, SPECIAL, rows) == (
+        b"x,theta_1,theta_2,theta_3\n"
+        b"-0,-0,inf,1e+22\n"
+        b"0,0,-inf,0.33333333333333331\n"
+        b"nan,nan,4.9406564584124654e-324,0.10000000000000001\n"
+        b"inf,inf,0.10000000000000001,4.9406564584124654e-324\n"
+        b"-inf,-inf,0.33333333333333331,-inf\n"
+        b"4.9406564584124654e-324,4.9406564584124654e-324,1e+22,inf\n"
+        b"0.10000000000000001,0.10000000000000001,-0,nan\n"
+        b"0.33333333333333331,0.33333333333333331,0,0\n"
+        b"1e+22,1e+22,nan,-0\n"
+    )
+
+
+def test_trace_golden_bytes_two_modes_with_q_and_errors(tmp_path):
+    trace = DiagnosticTrace(
+        times=[0.0, 0.1, 1e22],
+        l2_norms=[[1 / 3, -0.0, float("inf")], [0.1, 5e-324, 0.0]],
+        mass=[[-0.0, 0.0, float("nan")], [1e22, 1 / 3, 0.1]],
+        hs_invariant=[float("-inf"), 0.1, -0.0],
+        max_percent_error=[[0.0, float("nan"), 5e-324], [1 / 3, 1e22, float("inf")]],
+    )
+    assert write_trace(tmp_path, trace) == (
+        b"t,l2_1,l2_2,mass_1,mass_2,Q,max_pct_err_1,max_pct_err_2\n"
+        b"0,0.33333333333333331,0.10000000000000001,-0,1e+22,-inf,0,0.33333333333333331\n"
+        b"0.10000000000000001,-0,4.9406564584124654e-324,0,0.33333333333333331,"
+        b"0.10000000000000001,nan,1e+22\n"
+        b"1e+22,inf,0,nan,0.10000000000000001,-0,4.9406564584124654e-324,inf\n"
+    )
+
+
+def test_trace_golden_bytes_one_mode_without_q_or_errors(tmp_path):
+    trace = DiagnosticTrace(
+        times=[0.0, 1 / 3],
+        l2_norms=[[float("nan"), 5e-324]],
+        mass=[[-0.0, float("-inf")]],
+    )
+    assert write_trace(tmp_path, trace) == (
+        b"t,l2_1,mass_1\n"
+        b"0,nan,-0\n"
+        b"0.33333333333333331,4.9406564584124654e-324,-inf\n"
+    )
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_snapshot_bytes_match_csv_transcription(tmp_path_factory, data):
+    n_modes = data.draw(st.integers(1, 3))
+    m_points = data.draw(st.integers(1, 8))
+    x = data.draw(st.lists(floats, min_size=m_points, max_size=m_points))
+    values = [
+        data.draw(st.lists(floats, min_size=m_points, max_size=m_points)) for _ in range(n_modes)
+    ]
+    header = ["x"] + [f"theta_{n + 1}" for n in range(n_modes)]
+    expected = transcribe(header, zip(x, *values))
+    assert write_snapshot(tmp_path_factory.mktemp("snap"), x, values) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trace_bytes_match_csv_transcription(tmp_path_factory, data):
+    n_modes = data.draw(st.integers(1, 3))
+    n_records = data.draw(st.integers(1, 5))
+
+    def series():
+        return data.draw(st.lists(floats, min_size=n_records, max_size=n_records))
+
+    trace = DiagnosticTrace(
+        times=series(),
+        l2_norms=[series() for _ in range(n_modes)],
+        mass=[series() for _ in range(n_modes)],
+    )
+    header = ["t"] + [f"l2_{k + 1}" for k in range(n_modes)] + [f"mass_{k + 1}" for k in range(n_modes)]
+    columns = [trace.times, *trace.l2_norms, *trace.mass]
+    if n_modes == 2 and data.draw(st.booleans()):
+        trace.hs_invariant = series()
+        header.append("Q")
+        columns.append(trace.hs_invariant)
+    if data.draw(st.booleans()):
+        trace.max_percent_error = [series() for _ in range(n_modes)]
+        header += [f"max_pct_err_{k + 1}" for k in range(n_modes)]
+        columns += trace.max_percent_error
+    expected = transcribe(header, zip(*columns))
+    assert write_trace(tmp_path_factory.mktemp("trace"), trace) == expected

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdv.errors import ConfigError
 from ckdv.model import make_hirota_satsuma, make_perturbed_hs
 from ckdv.runner import (
     RunConfig,
+    _resolve,
+    _snapshot_steps,
     build_system,
     get_preset,
     list_presets,
@@ -281,6 +285,52 @@ def test_run_experiment_rejects_mode_mismatch(tmp_path):
     config = quick_config(tmp_path, system=f"custom:{sysfile}")
     with pytest.raises(ConfigError, match="modes"):
         run_experiment(config)
+
+
+def accumulated_schedule(interval, tau, n_steps):
+    """The snapshot rule as a running float sum of the interval: step j takes a
+    snapshot once j*tau is within 1e-9 of an interval of the next target, and
+    the last step always does. The sum stalls once the interval falls below
+    its last bit, so this only serves intervals not far below tau."""
+    eps = 1e-9 * interval
+    next_snap = interval
+    steps = []
+    for j in range(1, n_steps + 1):
+        t = j * tau
+        if t + eps >= next_snap or j == n_steps:
+            steps.append(j)
+            while next_snap <= t + eps:
+                next_snap += interval
+    return steps
+
+
+def test_snapshot_steps_match_accumulated_schedule_on_presets():
+    for preset in list_presets():
+        if preset.config is None:
+            continue
+        config, _, _, n_steps, grid, _ = _resolve(preset.config)
+        steps = list(_snapshot_steps(config.snapshot_every / grid.tau, n_steps))
+        assert steps == accumulated_schedule(config.snapshot_every, grid.tau, n_steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_end=st.floats(1e-3, 10.0),
+    n_steps=st.integers(1, 400),
+    n_snapshots=st.one_of(st.integers(1, 60), st.floats(0.05, 60.0)),
+)
+def test_snapshot_steps_match_accumulated_schedule(t_end, n_steps, n_snapshots):
+    tau = t_end / n_steps
+    interval = t_end / n_snapshots
+    steps = list(_snapshot_steps(interval / tau, n_steps))
+    assert steps == accumulated_schedule(interval, tau, n_steps)
+
+
+def test_snapshot_steps_cost_one_step_each_for_tiny_intervals():
+    assert list(_snapshot_steps(1e-297, 4)) == [1, 2, 3, 4]
+    huge = _snapshot_steps(5e-324, 10**300)
+    assert [next(huge) for _ in range(3)] == [1, 2, 3]
+    assert list(_snapshot_steps(1e300, 5)) == [5]
 
 
 # ----------------------------------------------------------------- presets
