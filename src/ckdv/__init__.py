@@ -24,9 +24,6 @@ from .stepper import (
     StepPlan,
     advance,
     advise_tau,
-    full_step,
-    half_step,
-    single_mode_step,
 )
 from .analytic import (
     InitialCondition,
@@ -82,9 +79,6 @@ __all__ = [
     "StepPlan",
     "advance",
     "advise_tau",
-    "full_step",
-    "half_step",
-    "single_mode_step",
     "InitialCondition",
     "SolitonParams",
     "TrianglePulse",

@@ -14,6 +14,7 @@ right at speed m^2 / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,8 +37,13 @@ class SolitonParams:
     d: float
 
     def __post_init__(self):
-        if self.m == 0:
-            raise ConfigError("soliton parameter m must be nonzero", field="m")
+        # the amplitude scales as m^2 and the speed as m^3: neither may
+        # underflow to 0 or overflow
+        if self.m * self.m == 0 or not math.isfinite(self.m * self.m * self.m):
+            raise ConfigError(
+                f"soliton parameter m = {self.m:g} must be nonzero with m^2 > 0 and m^3 finite",
+                field="m",
+            )
         if abs(self.d) >= 1:
             raise ConfigError("|d| must be < 1 (pole regime rejected)", field="d")
 

@@ -16,7 +16,7 @@ import sys
 
 from .analytic import IC_SOLITON, InitialCondition, SolitonParams
 from .diagnostics import convergence_study
-from .errors import CkdvError
+from .errors import BlowUpError, CkdvError
 from .model import make_hirota_satsuma
 from .runner import RunReport, list_presets, load_config, run_experiment, run_preset
 from .stepper import RULE_DISPERSIVE_CFL, RULE_PAPER_STRICT, advise_tau
@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CkdvError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BlowUpError) else 1
 
 
 if __name__ == "__main__":

@@ -21,8 +21,6 @@ from .analytic import IC_SOLITON, InitialCondition, sample_initial, soliton_eval
 
 # evaluator protocol: t -> exact (n_modes, m_points) values on the grid nodes
 OracleEvaluator = Callable[[float], np.ndarray]
-# factory protocol: grid nodes -> evaluator for that grid
-OracleFactory = Callable[[np.ndarray], OracleEvaluator]
 
 
 def l2_norm(field_values: Sequence[float], h: float) -> float:
@@ -152,50 +150,33 @@ def observed_orders(errors: Sequence[float]) -> tuple[float, ...]:
 
 def convergence_study(
     spec: SystemSpec,
-    ic: InitialCondition | None,
+    ic: InitialCondition,
     t_end: float,
     h_coarsest: float,
     n_levels: int = 3,
-    *,
-    x_min: float = -20.0,
-    x_max: float = 20.0,
-    safety: float = 0.25,
-    oracle_factory: OracleFactory | None = None,
 ) -> ConvergenceReport:
-    """Refinement study at h, h/2, h/4, ... against an exact solution.
+    """Refinement study at h, h/2, h/4, ... against the exact soliton.
 
-    With the default oracle the initial condition must be the plain
-    soliton kind and ``spec`` the system it solves. A custom
-    ``oracle_factory`` (grid nodes -> time evaluator) covers other exactly
-    solvable cases, e.g. decoupled linear modes with sinusoidal data; the
-    initial state is then sampled from the oracle at t = 0 and ``ic`` may
-    be ``None``. Time steps follow the dispersive limit, so the tau error
-    term is subdominant to the h^2 one at every level.
+    ``ic`` must be the plain soliton kind and ``spec`` the system it
+    solves. Every level runs on [-20, 20]. Time steps follow the dispersive
+    limit at safety 0.25, so the tau error term is subdominant to the h^2
+    one at every level.
     """
     if n_levels < 3:
         raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
-    if oracle_factory is None:
-        if ic is None or ic.kind != IC_SOLITON:
-            raise ValueError("default oracle needs an hs_soliton initial condition")
-        params = ic.soliton
-
-        def oracle_factory(x: np.ndarray) -> OracleEvaluator:
-            return soliton_evaluator(params, x)
+    if ic is None or ic.kind != IC_SOLITON:
+        raise ValueError("convergence_study needs an hs_soliton initial condition")
 
     h_values: list[float] = []
     errors: list[float] = []
     l2_errors: list[float] = []
     for level in range(n_levels):
         h = h_coarsest / 2**level
-        plan, n_steps = advise_tau(spec, h, t_end, RULE_DISPERSIVE_CFL, safety).fit_to_end()
-        grid = Grid.spanning(x_min, x_max, h, plan.tau)
-        evaluate = oracle_factory(grid.nodes())
-        if ic is not None:
-            state = sample_initial(ic, grid)
-        else:
-            state = FieldSet(evaluate(0.0), 0.0)
-        final = advance(state, spec, grid, n_steps)
-        diff = np.abs(evaluate(final.time) - final.values)
+        plan, n_steps = advise_tau(spec, h, t_end, RULE_DISPERSIVE_CFL).fit_to_end()
+        grid = Grid.spanning(-20.0, 20.0, h, plan.tau)
+        final = advance(sample_initial(ic, grid), spec, grid, n_steps)
+        exact = soliton_evaluator(ic.soliton, grid.nodes())(final.time)
+        diff = np.abs(exact - final.values)
         h_values.append(h)
         errors.append(float(diff.max()))
         l2_errors.append(float(np.sqrt(np.sum(diff * diff) * h)))

@@ -12,11 +12,11 @@ class BlowUpError(CkdvError):
 
     Raised when a time layer contains non-finite entries or its max-norm
     exceeds 1e6 times the initial max-norm. ``step`` is the 1-based index
-    of the step being computed when the blow-up was detected (``None`` when
-    the faulty layer was produced outside a stepping loop).
+    of the step being computed when the blow-up was detected, and ``time``
+    the time that step reaches.
     """
 
-    def __init__(self, message: str, step: int | None = None, time: float | None = None):
+    def __init__(self, message: str, step: int, time: float):
         super().__init__(message)
         self.step = step
         self.time = time

@@ -11,11 +11,10 @@ where for each mode n
 
     R_n(u) = c_n D1(u_n) + sum_terms g * u_k * D1(u_m) + e_n D3(u_n).
 
-``advance``, ``half_step`` and ``full_step`` share one kernel: each layer
-sits in a buffer with two periodic ghost cells per side, and each stage
-writes the next layer in place, in a fixed operation order that keeps runs
-bit-for-bit reproducible. ``single_mode_step`` is an independent N=1
-transcription of the scheme, kept as a test oracle.
+``advance`` is the one way to run the scheme. Its kernel keeps each layer
+in a buffer with two periodic ghost cells per side, and each stage writes
+the next layer in place, in a fixed operation order that keeps runs
+bit-for-bit reproducible.
 
 The scheme is conditionally stable: tau must shrink faster than h. The
 step-size advisor offers the strict sixth-power bound
@@ -33,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, require_positive
-from .model import FieldSet, Grid, NonlinearTerm, SystemSpec, effective_dispersion
+from .model import FieldSet, Grid, SystemSpec, effective_dispersion
 
 RULE_PAPER_STRICT = "paper_strict"
 RULE_DISPERSIVE_CFL = "dispersive_cfl"
@@ -135,25 +134,21 @@ class _Kernel:
         self.acc_rows = [self.acc[i * w : i * w + m] for i in range(n)]
         self.term = np.empty(m)
         self.magnitude = np.empty(n * w)
+        if start.shape != self.shape:
+            raise ValueError(f"state has shape {start.shape}, the run needs {self.shape}")
         # the first layer holds the starting state, whose max-norm sets the blow-up limit
-        self.load(self.layers[0], start)
+        self.layers[0].values[...] = start
+        self.layers[0].wrap()
         initial_max = float(np.max(np.abs(start)))
         self.limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else np.inf
 
-    def load(self, layer: _Layer, values: np.ndarray) -> None:
-        if values.shape != self.shape:
-            raise ValueError(f"state has shape {values.shape}, the run needs {self.shape}")
-        layer.values[...] = values
-        layer.wrap()
-
-    def check(self, layer: _Layer, step: int | None, time: float) -> None:
+    def check(self, layer: _Layer, step: int, time: float) -> None:
         """Raise :class:`BlowUpError` if ``layer`` is non-finite or above the limit."""
         # ghost cells repeat nodes, so the padded max-norm is the nodes';
         # a NaN max-norm fails the comparison, so this catches non-finite layers
         amax = float(np.abs(layer.flat, out=self.magnitude).max())
         if not (amax <= self.limit) or not np.isfinite(amax):
-            where = "" if step is None else f" at step {step}"
-            raise BlowUpError(f"blow-up{where} (t ~ {time:.6g})", step=step, time=time)
+            raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
 
     def stage(self, base: _Layer, arg: _Layer, dt: float, out: _Layer) -> None:
         """Set ``out`` to ``base - dt * R(arg)``, ghost cells included."""
@@ -179,60 +174,6 @@ class _Kernel:
         out.wrap()
 
 
-def half_step(state: FieldSet, spec: SystemSpec, grid: Grid) -> FieldSet:
-    """Advance to the intermediate layer at t + tau/2."""
-    kern = _Kernel(spec, grid, state.values)
-    cur, half, _ = kern.layers
-    kern.stage(cur, cur, 0.5 * grid.tau, half)
-    kern.check(half, None, state.time)
-    return FieldSet(half.values, state.time + 0.5 * grid.tau)
-
-
-def full_step(state_j: FieldSet, state_half: FieldSet, spec: SystemSpec, grid: Grid) -> FieldSet:
-    """Complete the step to t + tau from layer j and the intermediate layer."""
-    expected = state_j.time + 0.5 * grid.tau
-    if abs(state_half.time - expected) > 1e-9 * max(1.0, abs(expected)):
-        raise ValueError(
-            f"intermediate layer at t={state_half.time} does not sit tau/2 after t={state_j.time}"
-        )
-    kern = _Kernel(spec, grid, state_j.values)
-    cur, half, nxt = kern.layers
-    kern.load(half, state_half.values)
-    kern.stage(cur, half, grid.tau, nxt)
-    kern.check(nxt, None, state_j.time)
-    return FieldSet(nxt.values, state_j.time + grid.tau)
-
-
-def single_mode_step(field: np.ndarray, c: float, g: float, d: float, grid: Grid) -> np.ndarray:
-    """Reference one-step update for a single KdV equation.
-
-    Direct transcription of the scheme for one mode with one self-coupling
-    term, kept textually independent of the general path so the two can be
-    cross-checked; for an N=1 system both must agree bitwise.
-    """
-    spec1 = SystemSpec(1, (c,), (d,), (NonlinearTerm(1, 1, 1, g),))
-    e = float(effective_dispersion(spec1, grid.h)[0])
-    h = grid.h
-    tau = grid.tau
-    f = np.asarray(field, dtype=float)
-
-    d1 = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
-    d3 = (np.roll(f, -2) - 2.0 * np.roll(f, -1) + 2.0 * np.roll(f, 1) - np.roll(f, 2)) / (
-        2.0 * h**3
-    )
-    acc = np.zeros(f.size)
-    acc = acc + g * (f * d1)
-    half = f - (0.5 * tau) * (c * d1 + acc + e * d3)
-
-    d1h = (np.roll(half, -1) - np.roll(half, 1)) / (2.0 * h)
-    d3h = (
-        np.roll(half, -2) - 2.0 * np.roll(half, -1) + 2.0 * np.roll(half, 1) - np.roll(half, 2)
-    ) / (2.0 * h**3)
-    acch = np.zeros(f.size)
-    acch = acch + g * (half * d1h)
-    return f - tau * (c * d1h + acch + e * d3h)
-
-
 def advance(
     state: FieldSet,
     spec: SystemSpec,
@@ -243,10 +184,10 @@ def advance(
     """Run ``n_steps`` full steps from ``state``; return the final layer.
 
     ``observer(step, layer)`` is called after each completed step with the
-    1-based step index. Raises :class:`BlowUpError` carrying the offending
-    step index when a layer goes non-finite or its max-norm exceeds 1e6
-    times the initial max-norm; ``half_step`` and ``full_step`` apply the
-    same check to the layer they produce.
+    1-based step index and a read-only copy of the layer. Both the
+    intermediate and the completed layer of every step are checked: a layer
+    that goes non-finite, or whose max-norm exceeds 1e6 times the max-norm
+    of ``state``, raises :class:`BlowUpError` carrying the step index.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -10,6 +10,7 @@ from ckdv.analytic import (
     soliton_evaluator,
     verify_residual,
 )
+from ckdv.errors import ConfigError
 from ckdv.model import Grid
 
 
@@ -78,6 +79,13 @@ def test_params_reject_pole_regime():
         SolitonParams(1.0, -1.3)
     with pytest.raises(ValueError):
         SolitonParams(0.0, 0.0)
+    # m^2 underflows to 0 or m^3 overflows: the amplitude or speed is no float
+    for m in (1e-200, -1e-200, 1e103, -1e103):
+        with pytest.raises(ConfigError) as info:
+            SolitonParams(m, 0.0)
+        assert info.value.field == "m"
+    SolitonParams(1e-161, 0.0)
+    SolitonParams(-1e102, 0.0)
 
 
 def test_residual_single_point():

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import ckdv
+import ckdv.cli
 from ckdv.cli import main
+from ckdv.errors import BlowUpError
 from ckdv.runner import _FLOAT_KEYS
 
 # custom system files written next to each faulty config as {tmp}/<name>
@@ -83,6 +85,15 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     assert "blew_up" in out
 
 
+def test_converge_blow_up_exits_2(monkeypatch, capsys):
+    def blow_up(*args):
+        raise BlowUpError("blow-up at step 122252 (t ~ 0.318365)", step=122252, time=0.318365)
+
+    monkeypatch.setattr(ckdv.cli, "convergence_study", blow_up)
+    assert main(["converge", "--levels", "4"]) == 2
+    assert capsys.readouterr().err == "error: blow-up at step 122252 (t ~ 0.318365)\n"
+
+
 def test_preset_command_oracle(tmp_path, capsys):
     assert main(["preset", "fig1", "--out", str(tmp_path / "fig1")]) == 0
     out = capsys.readouterr().out
@@ -133,6 +144,10 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["run"], MANUAL + "system = custom:{tmp}/nan_c.sys\n", "nan_c.sys: linear speeds"),
         (["run"], "system = custom:{tmp}/inf_term.sys\n", "inf_term.sys: term (1,1,1) coef"),
         (["run"], MANUAL + "system = custom:{tmp}/inf_term.sys\n", "inf_term.sys: term (1,1,1)"),
+        (["run"], "m = 1e-200\n", "m = 1e-200"),
+        (["run"], "m = 1e103\n", "m = 1e+103"),
+        (["run"], "ic_kind = stretched_soliton\nm = 1e-200\n", "m = 1e-200"),
+        (["run"], "ic_kind = stretched_soliton\nm = 1e103\n", "m = 1e+103"),
     ],
 )
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):

@@ -1,10 +1,14 @@
 """Property tests at the config boundary: every input is accepted or
-rejected with a ConfigError, and ``ckdv advise`` exits 0 or 1."""
+rejected with a ConfigError, ``ckdv advise`` exits 0 or 1, and ``ckdv run``
+exits 0, 1 or 2 whatever its initial data."""
 
 import contextlib
 import io
+import tempfile
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,3 +68,23 @@ def test_advise_exits_0_or_1(h, t_end, safety, rule):
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         assert main(argv) in (0, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    floats=st.dictionaries(
+        st.sampled_from(["m", "d", "width_scale", "amp_scale", "amplitude", "half_width", "center"]),
+        ANY_FLOAT,
+    ),
+    ic_kind=st.sampled_from(["hs_soliton", "stretched_soliton", "triangle_pulse"]),
+)
+def test_run_exits_0_1_or_2_on_any_initial_data(floats, ic_kind):
+    with tempfile.TemporaryDirectory() as root:
+        lines = [f"ic_kind = {ic_kind}", "h = 0.1", "t_end = 0.001", f"output_dir = {root}/out"]
+        lines += [f"{key} = {value!r}" for key, value in floats.items()]
+        cfg = Path(root) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(), np.errstate(all="ignore"), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            assert main(["run", "--config", str(cfg)]) in (0, 1, 2)

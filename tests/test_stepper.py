@@ -14,14 +14,8 @@ from ckdv.model import (
     make_hirota_satsuma,
     make_hs_first_kdv,
 )
-from ckdv.stepper import (
-    StepPlan,
-    advance,
-    advise_tau,
-    full_step,
-    half_step,
-    single_mode_step,
-)
+from ckdv.stepper import StepPlan, advance, advise_tau
+from test_kernel import single_mode_step
 
 HS = make_hirota_satsuma()
 SOLITON = InitialCondition("hs_soliton", soliton=SolitonParams(1.0, 0.0))
@@ -34,58 +28,42 @@ def steps_for(spec, h, t_end, safety=0.25):
 
 
 # ---------------------------------------------------------------- steps
+# one full step, half step included, taken through advance
 
 
 def test_half_step_constant_state():
     grid = Grid(0.0, 0.1, 32, 1e-3)
     state = FieldSet(np.full((2, 32), 1.3), 0.5)
-    out = half_step(state, HS, grid)
+    out = advance(state, HS, grid, 1)
     assert np.array_equal(out.values, state.values)
-    assert out.time == pytest.approx(0.5 + 5e-4, rel=1e-15)
+    assert out.time == pytest.approx(0.5 + 1e-3, rel=1e-15)
 
 
 def test_half_step_zero_state():
     grid = Grid(0.0, 0.1, 32, 1e-3)
-    out = half_step(FieldSet(np.zeros((2, 32)), 0.0), HS, grid)
+    out = advance(FieldSet(np.zeros((2, 32)), 0.0), HS, grid, 1)
     assert np.array_equal(out.values, np.zeros((2, 32)))
-
-
-def test_half_step_matches_oracle():
-    # local error O(tau^2 + tau h^2); observed ~5.4e-7 at tau=1e-4, h=0.05
-    grid = Grid(-20.0, 0.05, 800, 1e-4)
-    state = sample_initial(SOLITON, grid)
-    evaluate = soliton_evaluator(SOLITON.soliton, grid.nodes())
-    out = half_step(state, HS, grid)
-    assert out.time == pytest.approx(5e-5)
-    assert np.max(np.abs(out.values - evaluate(out.time))) <= 2e-6
 
 
 def test_full_step_constant_and_zero():
     grid = Grid(0.0, 0.1, 32, 1e-3)
     const = FieldSet(np.full((2, 32), -0.7), 0.0)
-    out = full_step(const, half_step(const, HS, grid), HS, grid)
+    out = advance(const, HS, grid, 1)
     assert np.array_equal(out.values, const.values)
     zero = FieldSet(np.zeros((2, 32)), 0.0)
-    out = full_step(zero, half_step(zero, HS, grid), HS, grid)
+    out = advance(zero, HS, grid, 1)
     assert np.array_equal(out.values, zero.values)
     assert out.time == pytest.approx(1e-3)
 
 
 def test_full_step_matches_oracle():
+    # local error O(tau^2 + tau h^2) at tau=1e-4, h=0.05
     grid = Grid(-20.0, 0.05, 800, 1e-4)
     state = sample_initial(SOLITON, grid)
     evaluate = soliton_evaluator(SOLITON.soliton, grid.nodes())
-    out = full_step(state, half_step(state, HS, grid), HS, grid)
+    out = advance(state, HS, grid, 1)
     assert out.time == pytest.approx(1e-4)
     assert np.max(np.abs(out.values - evaluate(out.time))) <= 4e-6
-
-
-def test_full_step_rejects_misaligned_half_layer():
-    grid = Grid(0.0, 0.1, 32, 1e-3)
-    state = FieldSet(np.zeros((2, 32)), 0.0)
-    wrong = FieldSet(np.zeros((2, 32)), 0.9)
-    with pytest.raises(ValueError):
-        full_step(state, wrong, HS, grid)
 
 
 def test_half_step_flags_nonfinite_output():
@@ -93,8 +71,9 @@ def test_half_step_flags_nonfinite_output():
     bad = np.zeros((2, 32))
     bad[0, 3] = 1e308
     bad[0, 5] = -1e308
-    with np.errstate(all="ignore"), pytest.raises(BlowUpError):
-        half_step(FieldSet(bad, 0.0), HS, grid)
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError) as info:
+        advance(FieldSet(bad, 0.0), HS, grid, 1)
+    assert info.value.step == 1
 
 
 # ---------------------------------------------------------------- advance
@@ -155,12 +134,10 @@ def test_mass_telescopes_for_k_equals_m_modes():
     grid = Grid(0.0, 0.1, 64, 1e-4)
     values = rng.normal(scale=0.5, size=(2, 64))
     state = FieldSet(values, 0.0)
-    half = half_step(state, HS, grid)
-    full = full_step(state, half, HS, grid)
+    full = advance(state, HS, grid, 1)
     scale = np.sum(np.abs(values[0])) * grid.h
     tol = 100 * np.finfo(float).eps * max(1.0, scale)
     m0 = mode_mass(state, grid.h)
-    assert abs(mode_mass(half, grid.h)[0] - m0[0]) <= tol
     assert abs(mode_mass(full, grid.h)[0] - m0[0]) <= tol
 
 
@@ -183,7 +160,7 @@ def test_single_mode_reduction_is_bitwise():
     c, g, d = 0.7, -1.5, -0.25
     spec = SystemSpec(1, (c,), (d,), (NonlinearTerm(1, 1, 1, g),))
     state = FieldSet(f[None, :], 0.0)
-    general = full_step(state, half_step(state, spec, grid), spec, grid)
+    general = advance(state, spec, grid, 1)
     reference = single_mode_step(f, c, g, d, grid)
     assert np.array_equal(general.values[0], reference)
 
