@@ -401,6 +401,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     if _has_oracle(config):
         oracle = soliton_evaluator(ic.soliton, x)
         amplitude = state0.max_norm()
+        if amplitude == 0.0:
+            raise ConfigError("the soliton falls between the grid nodes; refine h", field="h")
 
     out_dir = _make_output_dir(Path(config.output_dir))
 
@@ -418,10 +420,10 @@ def run_experiment(config: RunConfig) -> RunReport:
     snap_steps = _snapshot_steps(config.snapshot_every / grid.tau, n_steps)
     next_snap = next(snap_steps)
 
-    def observer(step: int, state: FieldSet) -> None:
+    def observer(step: int, time: float, values: np.ndarray) -> None:
         nonlocal next_snap
         if step == next_snap:
-            emit(state)
+            emit(FieldSet(values, time))
             next_snap = next(snap_steps, None)
 
     outcome = "completed"

@@ -148,6 +148,7 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["run"], "m = 1e103\n", "m = 1e+103"),
         (["run"], "ic_kind = stretched_soliton\nm = 1e-200\n", "m = 1e-200"),
         (["run"], "ic_kind = stretched_soliton\nm = 1e103\n", "m = 1e+103"),
+        (["run"], "tau_rule = manual\ntau = 1e-300\n", "exceeds 2**53 steps"),
     ],
 )
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckdv.cli import main
@@ -77,10 +77,15 @@ def test_advise_exits_0_or_1(h, t_end, safety, rule):
         ANY_FLOAT,
     ),
     ic_kind=st.sampled_from(["hs_soliton", "stretched_soliton", "triangle_pulse"]),
+    half_step_offset=st.booleans(),
 )
-def test_run_exits_0_1_or_2_on_any_initial_data(floats, ic_kind):
+# a narrow soliton centred between two nodes samples to zero at every node
+@example(floats={"m": 1e5}, ic_kind="hs_soliton", half_step_offset=True)
+def test_run_exits_0_1_or_2_on_any_initial_data(floats, ic_kind, half_step_offset):
     with tempfile.TemporaryDirectory() as root:
         lines = [f"ic_kind = {ic_kind}", "h = 0.1", "t_end = 0.001", f"output_dir = {root}/out"]
+        if half_step_offset:  # the nodes straddle the profile's centre
+            lines += ["x_min = -20.05", "x_max = 19.95"]
         lines += [f"{key} = {value!r}" for key, value in floats.items()]
         cfg = Path(root) / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n")

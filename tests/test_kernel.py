@@ -1,7 +1,11 @@
 """Bitwise checks of the stepping kernel against direct transcriptions of the scheme."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdv.analytic import InitialCondition, SolitonParams, sample_initial
 from ckdv.errors import BlowUpError
@@ -13,7 +17,7 @@ from ckdv.model import (
     effective_dispersion,
     make_hirota_satsuma,
 )
-from ckdv.stepper import BLOWUP_FACTOR, advance
+from ckdv.stepper import BLOWUP_FACTOR, _Kernel, _Layer, advance
 
 # three modes, nonzero linear speeds, three terms in mode 1's equation and
 # cross-couplings in both directions. Mode 1 has c < 0 and e < 0 and starts
@@ -116,7 +120,9 @@ def test_fixture_has_signed_zeros():
 def test_three_mode_advance_matches_roll_transcription_bitwise():
     u0 = triangles()
     seen = []
-    final = advance(FieldSet(u0, 0.0), SPEC3, GRID3, 50, lambda j, s: seen.append(s.values))
+    final = advance(
+        FieldSet(u0, 0.0), SPEC3, GRID3, 50, lambda j, t, v: seen.append(FieldSet(v, t).values)
+    )
     expected, blow_up = roll_advance(u0, SPEC3, GRID3, 50)
     assert blow_up is None
     assert len(seen) == len(expected) == 50
@@ -151,13 +157,15 @@ def test_single_mode_advance_equals_repeated_single_mode_step():
 
 def test_observer_layers_are_independent_snapshots():
     kept = []
-    advance(
-        FieldSet(triangles(), 0.0),
-        SPEC3,
-        GRID3,
-        20,
-        lambda j, s: kept.append((s, s.values.copy())),
-    )
+
+    def observer(j, t, values):
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0  # the view is read-only: an observer cannot corrupt the run
+        s = FieldSet(values, t)
+        kept.append((s, s.values.copy()))
+
+    final = advance(FieldSet(triangles(), 0.0), SPEC3, GRID3, 20, observer)
+    assert final.values.tobytes() == kept[-1][1].tobytes()
     for state, copy in kept:
         assert not state.values.flags.writeable
         assert state.values.tobytes() == copy.tobytes()
@@ -184,3 +192,87 @@ def test_single_steps_share_the_max_norm_blow_up_rule():
         advance(state, hs, grid, 1)
     assert info.value.step == 1
     assert info.value.time == pytest.approx(grid.tau)
+
+
+def test_wrap_matches_two_slice_copies_bitwise():
+    layer = _Layer(3, 7)
+    rng = np.random.default_rng(5)
+    layer.flat[:] = rng.standard_normal(layer.flat.size)
+    layer.flat[::5] = -0.0
+    padded = layer.flat.copy().reshape(3, 11)
+    np.copyto(padded[:, :2], padded[:, 7:9])
+    np.copyto(padded[:, -2:], padded[:, 2:4])
+    layer.wrap()
+    assert layer.flat.tobytes() == padded.tobytes()
+
+
+# start max-norms: zero (infinite limit), tiny (limit^2 underflows, to zero
+# at 1e-168), unit, and near and past the top of the range, where limit^2
+# overflows
+START_SCALES = [0.0, 1e-168, 1e-160, 1e-157, 1.0, 1e140, 1e148, 1e200]
+CHECK_GRID = Grid(0.0, 0.5, 8, 1e-3)
+
+
+def layers_around(limit: float):
+    """(2, 8) layers within a fraction of ``limit``, with up to three entries
+    replaced by edge values: non-finite, one ulp either side of the limit
+    and of the screen's edge limit/2, up to a factor 2 above the limit, far
+    above and far below."""
+    edges = [limit, limit / 2.0, 1.5 * limit, 1e3 * limit, 1e-3 * limit, 5e-324, 1e300, 0.0]
+    edges += [np.nextafter(v, math.inf) for v in edges] + [np.nextafter(v, 0.0) for v in edges]
+    edges = [v for v in edges if math.isfinite(v)] + [math.nan, math.inf]
+    above = st.integers(1, 52).map(lambda k: limit * (1.0 + 2.0**-k))
+    signed = st.tuples(st.sampled_from(edges) | above, st.booleans()).map(
+        lambda p: -p[0] if p[1] else p[0]
+    )
+    span = limit if math.isfinite(limit) else 1.0
+    within = st.sampled_from([0.0, 1e-3, 0.1, 1.0]).flatmap(
+        lambda f: st.lists(st.floats(-f * span, f * span), min_size=16, max_size=16)
+    )
+    return st.tuples(
+        within,
+        st.lists(st.tuples(st.integers(0, 15), signed), max_size=3),
+    )
+
+
+@settings(deadline=None, max_examples=400)
+@given(scale=st.sampled_from(START_SCALES), data=st.data())
+def test_screened_check_raises_exactly_where_the_max_norm_rule_does(scale, data):
+    hs = make_hirota_satsuma()
+    start = np.full((2, 8), scale)
+    start[1, 3] = -scale
+    kern = _Kernel(hs, CHECK_GRID, start)
+    initial_max = float(np.max(np.abs(start)))
+    limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else math.inf
+    values, edits = data.draw(layers_around(limit))
+    for idx, value in edits:
+        values[idx] = value
+    layer = kern.layers[1]
+    layer.values[...] = np.reshape(values, (2, 8))
+    layer.wrap()
+    amax = float(np.max(np.abs(layer.values)))
+    expected = not amax <= limit or not math.isfinite(amax)
+    try:
+        with np.errstate(all="raise"):  # no warning either, even where the sum overflows
+            kern.check(layer, 1, 0.0)
+    except BlowUpError:
+        raised = True
+    else:
+        raised = False
+    assert raised == expected
+
+
+@pytest.mark.parametrize("scale", [s for s in START_SCALES if s > 0])
+def test_check_draws_the_line_at_the_limit_itself(scale):
+    start = np.full((2, 8), scale)
+    kern = _Kernel(make_hirota_satsuma(), CHECK_GRID, start)
+    limit = BLOWUP_FACTOR * scale
+    layer = kern.layers[1]
+    layer.values[...] = 0.0
+    layer.values[1, 5] = -limit
+    layer.wrap()
+    kern.check(layer, 1, 0.0)
+    layer.values[1, 5] = -np.nextafter(limit, math.inf)
+    layer.wrap()
+    with pytest.raises(BlowUpError):
+        kern.check(layer, 1, 0.0)

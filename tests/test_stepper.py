@@ -119,7 +119,10 @@ def test_advance_stable_at_cfl_tau():
 def test_advance_observer_sees_every_layer():
     grid = Grid(0.0, 0.2, 16, 1e-3)
     seen = []
-    advance(FieldSet(np.zeros((2, 16)), 0.0), HS, grid, 7, observer=lambda j, s: seen.append((j, s.time)))
+    advance(
+        FieldSet(np.zeros((2, 16)), 0.0), HS, grid, 7,
+        observer=lambda j, t, v: seen.append((j, FieldSet(v, t).time)),
+    )
     assert [j for j, _ in seen] == list(range(1, 8))
     assert seen[-1][1] == pytest.approx(7e-3)
 
@@ -256,4 +259,12 @@ def test_advise_tau_faults_name_the_parameter(h, t_end, safety, rule, field):
 def test_fit_to_end_rejects_an_unbounded_step_count():
     with pytest.raises(ConfigError) as info:
         StepPlan(tau=5e-324, rule="manual", safety=1.0, t_end=1.0).fit_to_end()
+    assert info.value.field == "tau"
+
+
+def test_fit_to_end_counts_steps_exactly_up_to_2_53():
+    # past 2**53 the float t_end / tau is spaced wider than one step
+    assert StepPlan(tau=1.0, rule="manual", safety=1.0, t_end=2.0**53).fit_to_end()[1] == 2**53
+    with pytest.raises(ConfigError) as info:
+        StepPlan(tau=1.0, rule="manual", safety=1.0, t_end=2.0**53 + 2.0).fit_to_end()
     assert info.value.field == "tau"

@@ -91,7 +91,7 @@ def run(state, spec, grid, n_steps):
     """Every completed layer, and the blow-up step (``None`` if none)."""
     layers = [state]
     try:
-        advance(state, spec, grid, n_steps, lambda j, layer: layers.append(layer))
+        advance(state, spec, grid, n_steps, lambda j, t, v: layers.append(FieldSet(v, t)))
     except BlowUpError as exc:
         return layers, exc.step
     return layers, None
