@@ -37,7 +37,6 @@ from .analytic import (
 from .diagnostics import (
     ConvergenceReport,
     DiagnosticTrace,
-    convergence_study,
     count_peaks,
     hs_invariant,
     l2_norm,
@@ -51,6 +50,7 @@ from .runner import (
     RunReport,
     build_initial_condition,
     build_system,
+    convergence_study,
     list_presets,
     load_config,
     run_experiment,

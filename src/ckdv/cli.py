@@ -14,11 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analytic import IC_SOLITON, InitialCondition, SolitonParams
-from .diagnostics import convergence_study
 from .errors import BlowUpError, CkdvError
 from .model import make_hirota_satsuma
-from .runner import RunReport, list_presets, load_config, run_experiment, run_preset
+from .runner import (
+    RunReport,
+    convergence_study,
+    list_presets,
+    load_config,
+    run_experiment,
+    run_preset,
+)
 from .stepper import RULE_DISPERSIVE_CFL, RULE_PAPER_STRICT, advise_tau
 
 _RULE_ALIASES = {"paper": RULE_PAPER_STRICT, "cfl": RULE_DISPERSIVE_CFL}
@@ -51,9 +56,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    spec = make_hirota_satsuma()
-    ic = InitialCondition(IC_SOLITON, soliton=SolitonParams(1.0, 0.0))
-    report = convergence_study(spec, ic, args.t_end, args.h0, args.levels)
+    report = convergence_study(args.t_end, args.h0, args.levels)
     print(f"{'h':>10} {'max_err':>12} {'l2_err':>12} {'order':>7}")
     for k, h in enumerate(report.h_values):
         order = f"{report.observed_orders[k - 1]:7.3f}" if k > 0 else "      -"

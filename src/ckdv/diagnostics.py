@@ -1,4 +1,4 @@
-"""Norms, conserved-quantity tracking, oracle errors, and refinement studies.
+"""Measurements of given states: norms, conserved quantities, oracle errors, convergence orders.
 
 All integral diagnostics use the rectangle rule sum(f_i) * h, the discrete
 counterpart of the norms the scheme is built around. On a periodic lattice
@@ -14,10 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import FieldSet, Grid, SystemSpec
-from .stepper import RULE_DISPERSIVE_CFL, advance, advise_tau
-from .analytic import IC_SOLITON, InitialCondition, sample_initial, soliton_evaluator
+from .model import FieldSet
 
 # evaluator protocol: t -> exact (n_modes, m_points) values on the grid nodes
 OracleEvaluator = Callable[[float], np.ndarray]
@@ -146,39 +143,3 @@ def observed_orders(errors: Sequence[float]) -> tuple[float, ...]:
     if any(e <= 0 for e in errors):
         raise ValueError("zero error ratio undefined")
     return tuple(math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1))
-
-
-def convergence_study(
-    spec: SystemSpec,
-    ic: InitialCondition,
-    t_end: float,
-    h_coarsest: float,
-    n_levels: int = 3,
-) -> ConvergenceReport:
-    """Refinement study at h, h/2, h/4, ... against the exact soliton.
-
-    ``ic`` must be the plain soliton kind and ``spec`` the system it
-    solves. Every level runs on [-20, 20]. Time steps follow the dispersive
-    limit at safety 0.25, so the tau error term is subdominant to the h^2
-    one at every level.
-    """
-    if n_levels < 3:
-        raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
-    if ic is None or ic.kind != IC_SOLITON:
-        raise ValueError("convergence_study needs an hs_soliton initial condition")
-
-    h_values: list[float] = []
-    errors: list[float] = []
-    l2_errors: list[float] = []
-    for level in range(n_levels):
-        h = h_coarsest / 2**level
-        plan, n_steps = advise_tau(spec, h, t_end, RULE_DISPERSIVE_CFL).fit_to_end()
-        grid = Grid.spanning(-20.0, 20.0, h, plan.tau)
-        final = advance(sample_initial(ic, grid), spec, grid, n_steps)
-        exact = soliton_evaluator(ic.soliton, grid.nodes())(final.time)
-        diff = np.abs(exact - final.values)
-        h_values.append(h)
-        errors.append(float(diff.max()))
-        l2_errors.append(float(np.sqrt(np.sum(diff * diff) * h)))
-    orders = observed_orders(errors)
-    return ConvergenceReport(tuple(h_values), tuple(errors), tuple(l2_errors), orders)

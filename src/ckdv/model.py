@@ -113,6 +113,9 @@ class Grid:
         if self.m_points < 5:
             msg = f"the stencil needs m_points >= 5, got {self.m_points}"
             raise ConfigError(msg, field="m_points")
+        if self.m_points > 2**24:  # one row is then 128 MiB, and a run holds about eight
+            msg = f"m_points = {self.m_points} exceeds 2**24; coarsen h or narrow the domain"
+            raise ConfigError(msg, field="m_points")
 
     @classmethod
     def spanning(cls, x_min: float, x_max: float, h: float, tau: float) -> Grid:

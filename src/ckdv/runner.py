@@ -1,10 +1,11 @@
-"""Experiment driver: config files, presets, and CSV persistence.
+"""Experiment driver: config files, presets, refinement studies and CSV persistence.
 
 A run is described by a line-oriented ``key = value`` config (see
 ``CONFIG_KEYS``), executed by :func:`run_experiment`, and leaves behind a
 directory of snapshot CSVs, a diagnostics trace CSV, and a ``report.csv``
-manifest. Identical configs produce bit-identical CSV output. A config is
-checked by building the system, step plan, grid and initial condition it
+manifest. Identical configs produce bit-identical CSV output. Each run
+(config file, preset, refinement level, oracle profile) is set up once,
+by building the system, step plan, grid and initial condition its config
 describes; each constructor owns its rules, and a fault names the key.
 """
 
@@ -28,7 +29,7 @@ from .analytic import (
     sample_initial,
     soliton_evaluator,
 )
-from .diagnostics import DiagnosticTrace
+from .diagnostics import ConvergenceReport, DiagnosticTrace, observed_orders
 from .errors import BlowUpError, ConfigError
 from .model import (
     FieldSet,
@@ -175,7 +176,7 @@ def build_initial_condition(config: RunConfig) -> InitialCondition:
 
 def _profile_width(config: RunConfig) -> float:
     # nominal spatial scale of the initial data (soliton argument scale or
-    # triangle half-width), used only by the domain-width guard
+    # triangle half-width), checked against h and the domain width
     if config.ic_kind == IC_TRIANGLE:
         return config.half_width
     scale = config.width_scale if config.ic_kind == IC_STRETCHED else 1.0
@@ -199,8 +200,9 @@ def _resolve(config: RunConfig):
 
     The constructors own their rules; their faults are only renamed to the
     config key. Checked here, as no constructor owns them: finite numbers,
-    the snapshot interval (filled into ``config``), the width warning and
-    a system with more modes than the initial data fills.
+    the snapshot interval (filled into ``config``), an initial profile
+    narrower than ``h``, the width warning and a system with more modes
+    than the initial data fills.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
@@ -227,6 +229,9 @@ def _resolve(config: RunConfig):
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
 
     width = _profile_width(config)
+    if width < config.h:
+        msg = f"initial profile width {width:g} is below h = {config.h:g}; refine h"
+        raise ConfigError(msg, field="h")
     if config.x_max - config.x_min < 20.0 * width:
         warnings.warn(
             f"domain width {config.x_max - config.x_min:g} is below 20x the initial "
@@ -250,7 +255,8 @@ def validate_config(config: RunConfig) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a ``key = value`` config file."""
+    """Parse a ``key = value`` config file; only its syntax is checked here.
+    :func:`run_experiment` and :func:`validate_config` check the values."""
     path = Path(path)
     kwargs: dict[str, object] = {}
     for lineno, key, value in _read_key_values(path, "config file"):
@@ -267,7 +273,7 @@ def load_config(path: str | Path) -> RunConfig:
                 msg = f"line {lineno}: key '{key}' needs a number, got '{value}'"
                 raise ConfigError(msg, field=key, line=lineno) from None
         kwargs[key] = value
-    return validate_config(RunConfig(**kwargs))
+    return RunConfig(**kwargs)
 
 
 def write_config(config: RunConfig, path: str | Path) -> Path:
@@ -401,8 +407,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     if _has_oracle(config):
         oracle = soliton_evaluator(ic.soliton, x)
         amplitude = state0.max_norm()
-        if amplitude == 0.0:
-            raise ConfigError("the soliton falls between the grid nodes; refine h", field="h")
+        if amplitude == 0.0:  # _resolve rejects a soliton narrower than h, so the domain misses it
+            msg = "the soliton samples to zero at every node; the domain misses it"
+            raise ConfigError(msg, field="x_min")
 
     out_dir = _make_output_dir(Path(config.output_dir))
 
@@ -437,6 +444,32 @@ def run_experiment(config: RunConfig) -> RunReport:
     _write_trace(out_dir / "trace.csv", trace)
     _write_report(out_dir / "report.csv", plan, n_steps, grid, outcome, blow_up_step, snapshots)
     return RunReport(snapshots, trace, outcome, blow_up_step, plan, out_dir)
+
+
+def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> ConvergenceReport:
+    """Refinement study of the default soliton run at h, h/2, h/4, ...
+
+    Level k runs ``RunConfig(h=h_coarsest / 2**k, t_end=t_end)``: the
+    m = 1, d = 0 soliton on the Hirota-Satsuma system, measured against
+    its closed form. The ``dispersive_cfl`` step at safety 0.25 keeps the
+    tau error term subdominant to the h^2 one at every level.
+    """
+    if n_levels < 3:
+        raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
+    h_values: list[float] = []
+    errors: list[float] = []
+    l2_errors: list[float] = []
+    for level in range(n_levels):
+        h = h_coarsest / 2**level
+        _, spec, _, n_steps, grid, ic = _resolve(RunConfig(h=h, t_end=t_end))
+        final = advance(sample_initial(ic, grid), spec, grid, n_steps)
+        exact = soliton_evaluator(ic.soliton, grid.nodes())(final.time)
+        diff = np.abs(exact - final.values)
+        h_values.append(h)
+        errors.append(float(diff.max()))
+        l2_errors.append(float(np.sqrt(np.sum(diff * diff) * h)))
+    orders = observed_orders(errors)
+    return ConvergenceReport(tuple(h_values), tuple(errors), tuple(l2_errors), orders)
 
 
 @dataclass(frozen=True)
@@ -526,15 +559,12 @@ def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
         "fig2": [(1.0, d) for d in (0.0, 0.5)],
     }
     _make_output_dir(out_dir)
-    grid = Grid.spanning(-20.0, 20.0, 0.05, 1.0)
-    x = grid.nodes()
-    x_column = _format_column(x)
     paths = []
     for m, d in sweeps[preset.name]:
-        evaluate = soliton_evaluator(SolitonParams(m, d), x)
-        state = FieldSet(evaluate(0.0), 0.0)
+        # the initial sample of the default run with this (m, d)
+        *_, grid, ic = _resolve(RunConfig(m=m, d=d))
         path = out_dir / f"oracle_m{m:g}_d{d:g}.csv"
-        _write_snapshot(path, x_column, state)
+        _write_snapshot(path, _format_column(grid.nodes()), sample_initial(ic, grid))
         paths.append(path)
     return paths
 

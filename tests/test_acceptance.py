@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from ckdv.analytic import InitialCondition, SolitonParams, sample_initial, verify_residual
-from ckdv.diagnostics import convergence_study, count_peaks
+from ckdv.diagnostics import count_peaks
 from ckdv.errors import BlowUpError
 from ckdv.model import Grid, make_hirota_satsuma
-from ckdv.runner import RunConfig, get_preset, run_experiment
+from ckdv.runner import RunConfig, convergence_study, get_preset, run_experiment
 from ckdv.stepper import advance, advise_tau
 
 HS = make_hirota_satsuma()
@@ -68,8 +68,7 @@ def test_criterion_1_soliton_accuracy(soliton_run):
 
 
 def test_criterion_2_convergence_order():
-    ic = InitialCondition("hs_soliton", soliton=SolitonParams(1.0, 0.0))
-    report = convergence_study(HS, ic, 0.5, 0.2, 3)
+    report = convergence_study(0.5, 0.2, 3)
     orders = ", ".join(f"{o:.3f}" for o in report.observed_orders)
     ok = all(1.7 <= o <= 2.3 for o in report.observed_orders)
     _gate("criterion 2 (convergence order)", ok, f"observed orders [{orders}] (window [1.7, 2.3])")

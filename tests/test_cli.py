@@ -17,6 +17,8 @@ SYSTEM_FILES = {
     "inf_term.sys": "n_modes = 2\nc = 0, 0\nd = -0.25, 0.5\nterm = 1, 1, 1, inf\n",
 }
 MANUAL = "tau_rule = manual\ntau = 1e-4\n"
+# the nodes nearest the soliton's centre x = 0 sit at -h/2 and h/2
+NODES_STRADDLE_0 = "h = 0.1\nx_min = -20.05\nx_max = 19.95\n"
 
 
 def test_presets_listing(capsys):
@@ -149,6 +151,11 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["run"], "ic_kind = stretched_soliton\nm = 1e-200\n", "m = 1e-200"),
         (["run"], "ic_kind = stretched_soliton\nm = 1e103\n", "m = 1e+103"),
         (["run"], "tau_rule = manual\ntau = 1e-300\n", "exceeds 2**53 steps"),
+        (["run"], "h = 1e-9\ntau_rule = manual\ntau = 0.1\n", "exceeds 2**24"),
+        (["run"], NODES_STRADDLE_0 + "m = 1e4\n", "initial profile width 0.0001 is below h"),
+        (["run"], NODES_STRADDLE_0 + "m = 1e2\n", "initial profile width 0.01 is below h"),
+        (["converge", "--h0", "2"], None, "initial profile width 1 is below h = 2"),
+        (["run"], "x_min = 1000\nx_max = 1040\n", "the domain misses it"),
     ],
 )
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):

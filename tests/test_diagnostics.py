@@ -7,14 +7,12 @@ import pytest
 from ckdv.analytic import (
     InitialCondition,
     SolitonParams,
-    TrianglePulse,
     sample_initial,
     soliton_evaluator,
 )
 from ckdv.diagnostics import (
     ConvergenceReport,
     DiagnosticTrace,
-    convergence_study,
     count_peaks,
     hs_invariant,
     l2_norm,
@@ -201,14 +199,6 @@ def test_observed_orders_rejects_zero_error():
 def test_convergence_report_invariants():
     with pytest.raises(ValueError):
         ConvergenceReport((0.2, 0.15), (1.0, 0.5), (1.0, 0.5), (1.0,))
-
-
-def test_convergence_study_requires_oracle_route():
-    with pytest.raises(ValueError):
-        convergence_study(HS, None, 0.5, 0.2, 3)
-    triangle = InitialCondition("triangle_pulse", pulse=TrianglePulse(1.0, 2.0))
-    with pytest.raises(ValueError):
-        convergence_study(HS, triangle, 0.5, 0.2, 3)
 
 
 def test_convergence_study_linearized_sinusoid():

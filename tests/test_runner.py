@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ def quick_config(tmp_path, **overrides):
 def test_load_minimal_config_fills_defaults(tmp_path):
     path = tmp_path / "minimal.cfg"
     path.write_text("output_dir = " + str(tmp_path / "out") + "\n")
-    config = load_config(path)
+    config = validate_config(load_config(path))
     assert config.system == "hirota_satsuma"
     assert config.tau_rule == "dispersive_cfl"
     assert config.safety == 0.25
@@ -66,7 +68,7 @@ def test_load_config_negative_h_names_field(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("h = -1\n")
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        validate_config(load_config(path))
     assert info.value.field == "h"
     assert "h" in str(info.value)
 
@@ -384,6 +386,8 @@ def test_validate_config_faults_from_constructors_name_config_keys():
         (dict(tau_rule="paper_strict", tau=-1.0), "tau"),
         (dict(x_min=-0.1, x_max=0.1), "h"),
         (dict(h=0.03), "h"),
+        # 4e10 nodes: rejected before any array is allocated
+        (dict(h=1e-9, tau_rule="manual", tau=0.1), "h"),
     ]:
         with pytest.raises(ConfigError) as info:
             validate_config(RunConfig(**kwargs))
@@ -401,12 +405,19 @@ def test_config_and_system_files_share_the_line_reader(tmp_path):
     assert "cannot read config file" in str(info.value)
 
 
-def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("via_cli", [False, True], ids=["run_experiment", "main"])
+def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch, via_cli):
     from ckdv import runner
+    from ckdv.cli import main
 
     sysfile = tmp_path / "system.cfg"
     sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n")
-    config = quick_config(tmp_path, system=f"custom:{sysfile}", ic_kind="stretched_soliton")
+    # a domain narrower than 20 profile widths: the run warns, once
+    config = quick_config(
+        tmp_path, system=f"custom:{sysfile}", ic_kind="stretched_soliton", x_min=-5.0, x_max=5.0
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in vars(config).items() if v is not None))
     names = ("_parse_system_file", "advise_tau", "build_initial_condition", "sample_initial")
     calls = dict.fromkeys(names, 0)
 
@@ -419,5 +430,11 @@ def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
-    assert run_experiment(config).outcome == "completed"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if via_cli:
+            assert main(["run", "--config", str(cfg)]) == 0
+        else:
+            assert run_experiment(config).outcome == "completed"
     assert calls == dict.fromkeys(names, 1)
+    assert [w.category for w in caught] == [UserWarning]
