@@ -84,9 +84,9 @@ class InitialCondition:
         require_positive("width_scale", self.width_scale)
         require_positive("amp_scale", self.amp_scale)
         if self.kind in (IC_SOLITON, IC_STRETCHED) and self.soliton is None:
-            raise ValueError(f"{self.kind} requires soliton parameters")
+            raise ConfigError(f"{self.kind} requires soliton parameters", field="soliton")
         if self.kind == IC_TRIANGLE and self.pulse is None:
-            raise ValueError("triangle_pulse requires pulse parameters")
+            raise ConfigError("triangle_pulse requires pulse parameters", field="pulse")
 
 
 def _sech(x):

@@ -5,7 +5,7 @@ A run is described by a line-oriented ``key = value`` config (see
 directory of snapshot CSVs, a diagnostics trace CSV, and a ``report.csv``
 manifest. Identical configs produce bit-identical CSV output. Each run
 (config file, preset, refinement level, oracle profile) is set up once,
-by building the system, step plan, grid and initial condition its config
+by building the system, step plan, grid, start state and oracle its config
 describes; each constructor owns its rules, and a fault names the key.
 """
 
@@ -196,13 +196,15 @@ def _has_oracle(config: RunConfig) -> bool:
 
 
 def _resolve(config: RunConfig):
-    """``(config, spec, plan, n_steps, grid, ic)``: each object a run needs, built once.
+    """``(config, spec, plan, n_steps, grid, state0, oracle)``, each built once.
 
+    ``state0`` is the sampled initial data, one row per mode of ``spec``;
+    ``oracle`` evaluates the closed-form soliton on the nodes, or is ``None``.
     The constructors own their rules; their faults are only renamed to the
     config key. Checked here, as no constructor owns them: finite numbers,
     the snapshot interval (filled into ``config``), an initial profile
-    narrower than ``h``, the width warning and a system with more modes
-    than the initial data fills.
+    narrower than ``h``, the width warning, a system with more modes than
+    the initial data fills and initial data that is zero at every node.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
@@ -244,8 +246,15 @@ def _resolve(config: RunConfig):
             f"{spec.n_modes}; build the initial FieldSet through the library API instead",
             field="ic_kind",
         )
+    state0 = sample_initial(ic, grid)
+    if spec.n_modes < state0.n_modes:
+        state0 = FieldSet(state0.values[: spec.n_modes], state0.time)
+    if not state0.values.any():
+        msg = "the initial data samples to zero at every node; the domain misses it"
+        raise ConfigError(msg, field="x_min")
+    oracle = soliton_evaluator(ic.soliton, grid.nodes()) if _has_oracle(config) else None
     config = dataclasses.replace(config, snapshot_every=snapshot_every)
-    return config, spec, plan, n_steps, grid, ic
+    return config, spec, plan, n_steps, grid, state0, oracle
 
 
 def validate_config(config: RunConfig) -> RunConfig:
@@ -389,27 +398,14 @@ def _make_output_dir(path: Path) -> Path:
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute one configured run, writing snapshots, trace and manifest.
 
-    The advised time step is shrunk to the nearest divisor of ``t_end`` so
-    the run lands on the end time exactly. A blow-up does not raise: the
-    report carries the failing step and every artifact produced up to it
-    stays on disk.
+    The start state and the oracle come from :func:`_resolve`. The advised
+    time step is shrunk to the nearest divisor of ``t_end`` so the run lands
+    on the end time exactly. A blow-up does not raise: the report carries
+    the failing step and every artifact produced up to it stays on disk.
     """
-    config, spec, plan, n_steps, grid, ic = _resolve(config)
-    x = grid.nodes()
-    x_column = _format_column(x)
-
-    state0 = sample_initial(ic, grid)
-    if spec.n_modes < state0.n_modes:
-        state0 = FieldSet(state0.values[: spec.n_modes], state0.time)
-
-    oracle = None
-    amplitude = None
-    if _has_oracle(config):
-        oracle = soliton_evaluator(ic.soliton, x)
-        amplitude = state0.max_norm()
-        if amplitude == 0.0:  # _resolve rejects a soliton narrower than h, so the domain misses it
-            msg = "the soliton samples to zero at every node; the domain misses it"
-            raise ConfigError(msg, field="x_min")
+    config, spec, plan, n_steps, grid, state0, oracle = _resolve(config)
+    x_column = _format_column(grid.nodes())
+    amplitude = None if oracle is None else state0.max_norm()
 
     out_dir = _make_output_dir(Path(config.output_dir))
 
@@ -461,10 +457,9 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
     l2_errors: list[float] = []
     for level in range(n_levels):
         h = h_coarsest / 2**level
-        _, spec, _, n_steps, grid, ic = _resolve(RunConfig(h=h, t_end=t_end))
-        final = advance(sample_initial(ic, grid), spec, grid, n_steps)
-        exact = soliton_evaluator(ic.soliton, grid.nodes())(final.time)
-        diff = np.abs(exact - final.values)
+        _, spec, _, n_steps, grid, state0, oracle = _resolve(RunConfig(h=h, t_end=t_end))
+        final = advance(state0, spec, grid, n_steps)
+        diff = np.abs(oracle(final.time) - final.values)
         h_values.append(h)
         errors.append(float(diff.max()))
         l2_errors.append(float(np.sqrt(np.sum(diff * diff) * h)))
@@ -562,9 +557,9 @@ def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
     paths = []
     for m, d in sweeps[preset.name]:
         # the initial sample of the default run with this (m, d)
-        *_, grid, ic = _resolve(RunConfig(m=m, d=d))
+        *_, grid, state0, _ = _resolve(RunConfig(m=m, d=d))
         path = out_dir / f"oracle_m{m:g}_d{d:g}.csv"
-        _write_snapshot(path, _format_column(grid.nodes()), sample_initial(ic, grid))
+        _write_snapshot(path, _format_column(grid.nodes()), state0)
         paths.append(path)
     return paths
 

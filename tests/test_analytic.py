@@ -162,6 +162,17 @@ def test_initial_condition_validation():
         TrianglePulse(1.0, -2.0)
 
 
+def test_initial_condition_missing_parameters_name_their_field():
+    for kind, field in [
+        ("hs_soliton", "soliton"),
+        ("stretched_soliton", "soliton"),
+        ("triangle_pulse", "pulse"),
+    ]:
+        with pytest.raises(ConfigError, match="requires") as info:
+            InitialCondition(kind)
+        assert info.value.field == field
+
+
 def test_soliton_evaluator_matches_direct_call():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     p = SolitonParams(0.8, 0.2)

@@ -1,6 +1,7 @@
 """Property tests at the config boundary: every input is accepted or
 rejected with a ConfigError, ``ckdv advise`` exits 0 or 1, and ``ckdv run``
-exits 0, 1 or 2 whatever its initial data."""
+exits 0, 1 or 2 whatever its initial data: 1 on exactly the configs
+``validate_config`` rejects."""
 
 import contextlib
 import io
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from ckdv.cli import main
 from ckdv.errors import ConfigError
-from ckdv.runner import _FLOAT_KEYS, RunConfig, validate_config
+from ckdv.runner import _FLOAT_KEYS, RunConfig, _resolve, load_config, validate_config
 
 EDGE_FLOATS = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 0.03]
@@ -93,3 +94,68 @@ def test_run_exits_0_1_or_2_on_any_initial_data(floats, ic_kind, half_step_offse
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("ignore")
             assert main(["run", "--config", str(cfg)]) in (0, 1, 2)
+
+
+# in-range values that fit together (every span below is a whole number of
+# each h), so that a useful share of drawn configs resolve to a short run
+SMALL = {
+    "d1": [-0.2, 0.3],
+    "x_min": [-20.0, -10.0, -5.0],
+    "x_max": [20.0, 10.0, 5.0],
+    "h": [0.1, 0.2, 0.25, 0.5],
+    "tau": [1e-4, 0.01],
+    "safety": [0.25, 0.5],
+    "t_end": [0.001, 0.01, 0.1],
+    "snapshot_every": [0.0005, 0.005],
+    "m": [0.5, 1.0, -1.5],
+    "d": [0.0, 0.5],
+    "width_scale": [1.0, 2.0],
+    "amp_scale": [0.5, 2.0],
+    "amplitude": [1.0, -2.0],
+    "half_width": [1.0, 2.0],
+    "center": [0.0, 3.0],
+}
+# a config that resolves to more work than this is not run
+MAX_NODE_STEPS = 50_000
+MAX_SNAPSHOTS = 40
+STRINGS = {
+    "system": ["hirota_satsuma", "perturbed_hs", "hs_kdv1", "unknown", 0, 1, 2],
+    "tau_rule": ["dispersive_cfl", "paper_strict", "manual", "sometimes"],
+    "ic_kind": ["hs_soliton", "stretched_soliton", "triangle_pulse", "plane_wave"],
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    small=st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in SMALL.items()}),
+    wild=st.dictionaries(st.sampled_from(_FLOAT_KEYS), ANY_FLOAT, max_size=2),
+    strings=st.fixed_dictionaries(
+        {}, optional={k: st.sampled_from(v) for k, v in STRINGS.items()}
+    ),
+)
+# 60x the dispersive CFL step: blows up at step 8, exit 2
+@example(small={"h": 0.1, "t_end": 0.1, "tau": 0.01}, wild={}, strings={"tau_rule": "manual"})
+# a triangle the domain misses: exit 1
+@example(small={"center": 1000.0}, wild={}, strings={"ic_kind": "triangle_pulse"})
+def test_run_exits_1_exactly_when_validate_config_rejects(custom_systems, small, wild, strings):
+    if isinstance(strings.get("system"), int):
+        strings["system"] = custom_systems[strings["system"]]
+    with tempfile.TemporaryDirectory() as root, warnings.catch_warnings(), \
+            np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        fields = {**small, **wild, **strings, "output_dir": f"{root}/out"}
+        cfg = Path(root) / "run.cfg"
+        cfg.write_text("".join(
+            f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+            for key, value in fields.items()
+        ))
+        argv = ["run", "--config", str(cfg)]
+        try:
+            config, _, _, n_steps, grid, _, _ = _resolve(validate_config(load_config(cfg)))
+        except ConfigError:
+            assert main(argv) == 1
+            return
+        over_budget = n_steps * grid.m_points > MAX_NODE_STEPS
+        if not over_budget and config.t_end <= MAX_SNAPSHOTS * config.snapshot_every:
+            assert main(argv) in (0, 2)

@@ -289,6 +289,24 @@ def test_run_experiment_rejects_mode_mismatch(tmp_path):
         run_experiment(config)
 
 
+def test_validate_config_rejects_what_run_experiment_rejects(tmp_path):
+    three = tmp_path / "three.cfg"
+    three.write_text("n_modes = 3\nc = 0, 0, 0\nd = 1, 1, 1\n")
+    for kwargs, field in [
+        (dict(x_min=1000.0, x_max=1040.0), "x_min"),  # the soliton misses the domain
+        (dict(ic_kind="triangle_pulse", center=1000.0), "x_min"),
+        (dict(m=1e4), "h"),  # a profile narrower than h
+        (dict(system=f"custom:{three}"), "ic_kind"),
+    ]:
+        config = quick_config(tmp_path, **kwargs)
+        with pytest.raises(ConfigError) as validated:
+            validate_config(config)
+        with pytest.raises(ConfigError) as ran:
+            run_experiment(config)
+        assert validated.value.field == ran.value.field == field, kwargs
+    assert not (tmp_path / "out").exists()
+
+
 def accumulated_schedule(interval, tau, n_steps):
     """The snapshot rule as a running float sum of the interval: step j takes a
     snapshot once j*tau is within 1e-9 of an interval of the next target, and
@@ -310,7 +328,7 @@ def test_snapshot_steps_match_accumulated_schedule_on_presets():
     for preset in list_presets():
         if preset.config is None:
             continue
-        config, _, _, n_steps, grid, _ = _resolve(preset.config)
+        config, _, _, n_steps, grid, _, _ = _resolve(preset.config)
         steps = list(_snapshot_steps(config.snapshot_every / grid.tau, n_steps))
         assert steps == accumulated_schedule(config.snapshot_every, grid.tau, n_steps)
 
