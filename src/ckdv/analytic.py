@@ -88,6 +88,15 @@ class InitialCondition:
         if self.kind == IC_TRIANGLE and self.pulse is None:
             raise ConfigError("triangle_pulse requires pulse parameters", field="pulse")
 
+    @property
+    def width(self) -> float:
+        """Nominal spatial scale of the data: the triangle's half-width, else the
+        soliton's argument scale, ``width_scale / |m|`` stretched and ``1 / |m|`` plain."""
+        if self.kind == IC_TRIANGLE:
+            return self.pulse.half_width
+        scale = self.width_scale if self.kind == IC_STRETCHED else 1.0
+        return scale / abs(self.soliton.m)
+
 
 def _sech(x):
     # 2 e^{-|x|} / (1 + e^{-2|x|}): never overflows, underflows cleanly to 0
@@ -97,7 +106,8 @@ def _sech(x):
 
 
 def hs_soliton(x, t, p: SolitonParams):
-    """Evaluate the one-soliton solution at (x, t); returns (theta_1, theta_2).
+    """Evaluate the one-soliton solution at (x, t); returns the stacked modes
+    ``[theta_1, theta_2]``, of shape ``(2,) + broadcast(x, t).shape``.
 
     Accepts scalars or numpy arrays for ``x`` and ``t``. Evaluated in a
     sech-scaled form that stays finite for arbitrarily large |x| and |t|.
@@ -112,10 +122,9 @@ def hs_soliton(x, t, p: SolitonParams):
     th1 = -2.0 * m**2 * ((-1.0 + d * d) * s * s + 2.0 * d * np.sin(lam1) * np.tanh(lam2) * s) / (
         den * den
     )
+    del lam1, lam2  # freed first, so the stacked copy stays under the peak of th1
     th2 = np.sqrt(2.0 + 2.0 * d * d) * m**2 * s / den
-    if th1.ndim == 0:
-        return float(th1), float(th2)
-    return th1, th2
+    return np.stack([th1, th2])
 
 
 def soliton_evaluator(p: SolitonParams, x: np.ndarray) -> Callable[[float], np.ndarray]:
@@ -123,8 +132,7 @@ def soliton_evaluator(p: SolitonParams, x: np.ndarray) -> Callable[[float], np.n
     x = np.asarray(x, dtype=float)
 
     def evaluate(t: float) -> np.ndarray:
-        th1, th2 = hs_soliton(x, t, p)
-        return np.stack([th1, th2])
+        return hs_soliton(x, t, p)
 
     return evaluate
 
@@ -156,21 +164,15 @@ def verify_residual(p: SolitonParams, x, t: float, delta: float = 1e-3):
     scalar or array ``x``; returns the pair (r1, r2).
     """
     x = np.asarray(x, dtype=float)
-
-    def at(xv, tv):
-        th1, th2 = hs_soliton(xv, tv, p)
-        return np.stack([np.atleast_1d(th1), np.atleast_1d(th2)])
-
-    f_t = _d1(lambda tv: at(x, tv), t, delta)
-    f_x = _d1(lambda xv: at(xv, t), x, delta)
-    f_xxx = _d3(lambda xv: at(xv, t), x, delta)
+    f_t = _d1(lambda tv: hs_soliton(x, tv, p), t, delta)
+    f_x = _d1(lambda xv: hs_soliton(xv, t, p), x, delta)
+    f_xxx = _d3(lambda xv: hs_soliton(xv, t, p), x, delta)
     th1, th2 = hs_soliton(x, t, p)
-    th1 = np.atleast_1d(th1)
 
-    r1 = f_t[0] - 0.25 * f_xxx[0] - 1.5 * th1 * f_x[0] + 3.0 * np.atleast_1d(th2) * f_x[1]
+    r1 = f_t[0] - 0.25 * f_xxx[0] - 1.5 * th1 * f_x[0] + 3.0 * th2 * f_x[1]
     r2 = f_t[1] + 0.5 * f_xxx[1] + 1.5 * th1 * f_x[1]
     if x.ndim == 0:
-        return float(r1[0]), float(r2[0])
+        return float(r1), float(r2)
     return r1, r2
 
 
@@ -182,16 +184,13 @@ def sample_initial(ic: InitialCondition, grid: Grid) -> FieldSet:
     """
     x = grid.nodes()
     if ic.kind == IC_SOLITON:
-        th1, th2 = hs_soliton(x, 0.0, ic.soliton)
+        values = hs_soliton(x, 0.0, ic.soliton)
     elif ic.kind == IC_STRETCHED:
-        th1, th2 = hs_soliton(x / ic.width_scale, 0.0, ic.soliton)
-        th1 = ic.amp_scale * th1
-        th2 = ic.amp_scale * th2
+        values = ic.amp_scale * hs_soliton(x / ic.width_scale, 0.0, ic.soliton)
     else:
         pulse = ic.pulse
         profile = pulse.amplitude * np.maximum(
             0.0, 1.0 - np.abs(x - pulse.center) / pulse.half_width
         )
-        th1 = profile
-        th2 = profile.copy()
-    return FieldSet(np.stack([th1, th2]), 0.0)
+        values = np.stack([profile, profile])
+    return FieldSet(values, 0.0)

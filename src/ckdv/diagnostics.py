@@ -21,7 +21,7 @@ OracleEvaluator = Callable[[float], np.ndarray]
 
 
 def l2_norm(field_values: Sequence[float], h: float) -> float:
-    """Discrete L2 norm sqrt(sum(f_i^2) * h) of one mode."""
+    """Discrete L2 norm sqrt(sum(f_i^2) * h) of one mode, or of all rows of an array."""
     f = np.asarray(field_values, dtype=float)
     return float(np.sqrt(np.sum(f * f) * h))
 

@@ -29,7 +29,7 @@ from .analytic import (
     sample_initial,
     soliton_evaluator,
 )
-from .diagnostics import ConvergenceReport, DiagnosticTrace, observed_orders
+from .diagnostics import ConvergenceReport, DiagnosticTrace, l2_norm, observed_orders
 from .errors import BlowUpError, ConfigError
 from .model import (
     FieldSet,
@@ -174,20 +174,8 @@ def build_initial_condition(config: RunConfig) -> InitialCondition:
     )
 
 
-def _profile_width(config: RunConfig) -> float:
-    # nominal spatial scale of the initial data (soliton argument scale or
-    # triangle half-width), checked against h and the domain width
-    if config.ic_kind == IC_TRIANGLE:
-        return config.half_width
-    scale = config.width_scale if config.ic_kind == IC_STRETCHED else 1.0
-    return scale / abs(config.m)
-
-
 # constructor parameter -> config key, where the two names differ
 _CONFIG_KEY = {"kind": "ic_kind", "rule": "tau_rule", "m_points": "h"}
-
-# config-file initial data fills the two Hirota-Satsuma modes (see sample_initial)
-_IC_MODES = 2
 
 
 def _has_oracle(config: RunConfig) -> bool:
@@ -230,7 +218,7 @@ def _resolve(config: RunConfig):
     if snapshot_every > config.t_end:
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
 
-    width = _profile_width(config)
+    width = ic.width
     if width < config.h:
         msg = f"initial profile width {width:g} is below h = {config.h:g}; refine h"
         raise ConfigError(msg, field="h")
@@ -240,13 +228,13 @@ def _resolve(config: RunConfig):
             f"profile width {width:g}; edge contamination possible",
             stacklevel=3,
         )
-    if spec.n_modes > _IC_MODES:
+    state0 = sample_initial(ic, grid)
+    if spec.n_modes > state0.n_modes:
         raise ConfigError(
-            f"initial condition provides {_IC_MODES} modes but the system has "
+            f"initial condition provides {state0.n_modes} modes but the system has "
             f"{spec.n_modes}; build the initial FieldSet through the library API instead",
             field="ic_kind",
         )
-    state0 = sample_initial(ic, grid)
     if spec.n_modes < state0.n_modes:
         state0 = FieldSet(state0.values[: spec.n_modes], state0.time)
     if not state0.values.any():
@@ -286,7 +274,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def write_config(config: RunConfig, path: str | Path) -> Path:
-    """Write a config file that loads back equal to ``validate_config(config)``."""
+    """Write a config file that loads back equal to ``validate_config(config)``.
+    A string no ``key = value`` line holds (empty, multi-line, padded or with a
+    ``#``) is a :class:`ConfigError` naming its key."""
     config = validate_config(config)
     path = Path(path)
     lines = []
@@ -294,6 +284,10 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
         value = getattr(config, key)
         if value is None:
             continue
+        if isinstance(value, str) and (
+            value.splitlines() != [value] or value != value.strip() or "#" in value
+        ):
+            raise ConfigError(f"{key} = {value!r} cannot be written as one config line", field=key)
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -462,7 +456,10 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
         diff = np.abs(oracle(final.time) - final.values)
         h_values.append(h)
         errors.append(float(diff.max()))
-        l2_errors.append(float(np.sqrt(np.sum(diff * diff) * h)))
+        l2_errors.append(l2_norm(diff, h))
+    if 0.0 in errors:
+        msg = f"t_end = {t_end:g} is too short to show any error; no order can be measured"
+        raise ConfigError(msg, field="t_end")
     orders = observed_orders(errors)
     return ConvergenceReport(tuple(h_values), tuple(errors), tuple(l2_errors), orders)
 

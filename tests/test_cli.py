@@ -157,6 +157,7 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["converge", "--h0", "2"], None, "initial profile width 1 is below h = 2"),
         (["run"], "x_min = 1000\nx_max = 1040\n", "the domain misses it"),
         (["run"], "ic_kind = triangle_pulse\ncenter = 1000\n", "the domain misses it"),
+        (["converge", "--t-end", "1e-300"], None, "t_end = 1e-300 is too short"),
     ],
 )
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):

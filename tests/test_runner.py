@@ -132,6 +132,18 @@ def test_config_round_trip(tmp_path):
     assert reloaded == config
 
 
+@pytest.mark.parametrize("output_dir", ["runs#1", " padded ", "", "a\nh = 0.1", "runs_1"])
+def test_write_config_writes_only_strings_that_load_back_equal(tmp_path, output_dir):
+    config = RunConfig(h=0.1, t_end=0.05, output_dir=output_dir)
+    path = tmp_path / "rt.cfg"
+    if output_dir != "runs_1":
+        with pytest.raises(ConfigError) as info:
+            write_config(config, path)
+        assert info.value.field == "output_dir" and not path.exists()
+        return
+    assert load_config(write_config(config, path)) == validate_config(config)
+
+
 def test_validate_config_faults_name_fields(tmp_path):
     three = tmp_path / "three.cfg"
     three.write_text("n_modes = 3\nc = 0, 0, 0\nd = 1, 1, 1\n")

@@ -185,6 +185,24 @@ def test_l2_drift_shrinks_under_refinement():
     assert drifts[2] <= drifts[1] * 1.05
 
 
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_dispersive_cfl_step_grows_the_fastest_mode_by_the_midpoint_factor(h):
+    # pure dispersion, e = 0.5: at k*h = 2*pi/3 the D3 symbol peaks at
+    # (3*sqrt(3)/2) / h^3, and the two-stage midpoint step amplifies a mode
+    # with R eigenvalue i*omega by |G| = sqrt(1 + (tau*omega)^4 / 4) > 1, so
+    # the default rule is not a stability bound under refinement
+    spec = SystemSpec(1, (0.0,), (0.5,), ())
+    cfl_tau = advise_tau(spec, h, 1.0).tau
+    plan, n = advise_tau(spec, h, 200 * cfl_tau).fit_to_end()
+    assert n == 200
+    grid = Grid(0.0, h, 300, plan.tau)
+    u0 = np.cos(2 * np.pi * np.arange(300) / 3)
+    final = advance(FieldSet(u0[None, :], 0.0), spec, grid, n)
+    growth = (l2_norm(final.values[0], h) / l2_norm(u0, h)) ** (1 / n)
+    omega = 0.5 * (3 * math.sqrt(3) / 2) / h**3
+    assert growth == pytest.approx(math.sqrt(1 + (plan.tau * omega) ** 4 / 4), rel=1e-9)
+
+
 # ---------------------------------------------------------------- advisor
 
 
