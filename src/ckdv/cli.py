@@ -3,7 +3,7 @@
     ckdv run --config <path>
     ckdv preset <name> [--out <dir>]
     ckdv converge --levels <n> [--h0 <real>]
-    ckdv advise --h <real> --t-end <real> [--rule paper|cfl] [--safety <real>]
+    ckdv advise --config <path>    (the plan and grid ``run`` uses; same faults)
     ckdv presets
 
 Exit status: 0 on success, 1 on config faults, 2 when a run blows up.
@@ -15,18 +15,15 @@ import argparse
 import sys
 
 from .errors import BlowUpError, CkdvError
-from .model import make_hirota_satsuma
 from .runner import (
     RunReport,
+    _resolve,
     convergence_study,
     list_presets,
     load_config,
     run_experiment,
     run_preset,
 )
-from .stepper import RULE_DISPERSIVE_CFL, RULE_PAPER_STRICT, advise_tau
-
-_RULE_ALIASES = {"paper": RULE_PAPER_STRICT, "cfl": RULE_DISPERSIVE_CFL}
 
 
 def _report_summary(report: RunReport) -> int:
@@ -65,11 +62,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    rule = _RULE_ALIASES.get(args.rule, args.rule)
-    plan = advise_tau(make_hirota_satsuma(), args.h, args.t_end, rule, args.safety)
+    _, _, plan, n_steps, grid, _, _ = _resolve(load_config(args.config))
     print(f"rule = {plan.rule}")
     print(f"tau = {plan.tau:.6g}")
-    print(f"steps to t_end = {plan.fit_to_end()[1]}")
+    print(f"steps to t_end = {n_steps}")
+    print(f"m_points = {grid.m_points}")
     return 0
 
 
@@ -101,11 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--t-end", dest="t_end", type=float, default=0.5)
     p_conv.set_defaults(func=_cmd_converge)
 
-    p_adv = sub.add_parser("advise", help="suggest a stable time step")
-    p_adv.add_argument("--h", type=float, required=True)
-    p_adv.add_argument("--t-end", dest="t_end", type=float, required=True)
-    p_adv.add_argument("--rule", default="cfl", choices=["paper", "cfl"])
-    p_adv.add_argument("--safety", type=float, default=0.25)
+    p_adv = sub.add_parser("advise", help="print the step plan and grid a config runs with")
+    p_adv.add_argument("--config", required=True)
     p_adv.set_defaults(func=_cmd_advise)
 
     p_list = sub.add_parser("presets", help="list available presets")

@@ -46,6 +46,8 @@ SYSTEM_HS = "hirota_satsuma"
 SYSTEM_PERTURBED = "perturbed_hs"
 SYSTEM_KDV1 = "hs_kdv1"  # isolated first Hirota-Satsuma equation, N=1
 CUSTOM_PREFIX = "custom:"
+# a mode whose start data at the periodic seam exceed this share of its peak warns
+EDGE_RATIO = 1e-6
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,20 +98,26 @@ class RunReport:
 
 def _read_key_values(path: Path, what: str, field: str | None = None):
     """Yield ``(line number, key, value)`` per ``key = value`` line; ``#`` starts a
-    comment. An unreadable file or a line without ``=`` is a fault of ``field``."""
+    comment. An unreadable file, a line without ``=`` or a repeat of a key other
+    than ``term`` is a fault of ``field`` (of the repeated key if ``field`` is None)."""
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}", field=field) from exc
+    seen = set()
     for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             msg = f"{path} line {lineno}: expected 'key = value'"
             raise ConfigError(msg, field=field, line=lineno)
-        yield lineno, key.strip(), value.strip()
+        if key in seen and key != "term":
+            msg = f"{path} line {lineno}: duplicate key '{key}'"
+            raise ConfigError(msg, field=field or key, line=lineno)
+        seen.add(key)
+        yield lineno, key, value
 
 
 def _parse_system_file(path: Path) -> SystemSpec:
@@ -191,8 +199,8 @@ def _resolve(config: RunConfig):
     The constructors own their rules; their faults are only renamed to the
     config key. Checked here, as no constructor owns them: finite numbers,
     the snapshot interval (filled into ``config``), an initial profile
-    narrower than ``h``, the width warning, a system with more modes than
-    the initial data fills and initial data that is zero at every node.
+    narrower than ``h``, a system with more modes than the initial data
+    fills, initial data that is zero at every node and the edge warning.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
@@ -218,16 +226,9 @@ def _resolve(config: RunConfig):
     if snapshot_every > config.t_end:
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
 
-    width = ic.width
-    if width < config.h:
-        msg = f"initial profile width {width:g} is below h = {config.h:g}; refine h"
+    if ic.width < config.h:
+        msg = f"initial profile width {ic.width:g} is below h = {config.h:g}; refine h"
         raise ConfigError(msg, field="h")
-    if config.x_max - config.x_min < 20.0 * width:
-        warnings.warn(
-            f"domain width {config.x_max - config.x_min:g} is below 20x the initial "
-            f"profile width {width:g}; edge contamination possible",
-            stacklevel=3,
-        )
     state0 = sample_initial(ic, grid)
     if spec.n_modes > state0.n_modes:
         raise ConfigError(
@@ -240,6 +241,15 @@ def _resolve(config: RunConfig):
     if not state0.values.any():
         msg = "the initial data samples to zero at every node; the domain misses it"
         raise ConfigError(msg, field="x_min")
+    edges = np.maximum(np.abs(state0.values[:, 0]), np.abs(state0.values[:, -1])).tolist()
+    peaks = np.abs(state0.values).max(axis=1).tolist()
+    if any(e > EDGE_RATIO * p for e, p in zip(edges, peaks)):
+        ratios = ", ".join(f"{e / p if p else 0.0:.2g}" for e, p in zip(edges, peaks))
+        warnings.warn(
+            f"the initial data at the domain edges reach {ratios} of each mode's peak "
+            f"(above {EDGE_RATIO:g}); edge contamination possible",
+            stacklevel=3,
+        )
     oracle = soliton_evaluator(ic.soliton, grid.nodes()) if _has_oracle(config) else None
     config = dataclasses.replace(config, snapshot_every=snapshot_every)
     return config, spec, plan, n_steps, grid, state0, oracle
@@ -259,8 +269,6 @@ def load_config(path: str | Path) -> RunConfig:
     for lineno, key, value in _read_key_values(path, "config file"):
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'", field=key, line=lineno)
-        if key in kwargs:
-            raise ConfigError(f"line {lineno}: duplicate key '{key}'", field=key, line=lineno)
         if not value:
             raise ConfigError(f"line {lineno}: empty value for '{key}'", field=key, line=lineno)
         if key in _FLOAT_KEYS:

@@ -29,18 +29,27 @@ def test_presets_listing(capsys):
     assert "oracle" in out
 
 
-def test_advise_paper_rule(capsys):
-    assert main(["advise", "--h", "0.2", "--t-end", "1", "--rule", "paper", "--safety", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "paper_strict" in out
-    assert "2.84444e-05" in out
-
-
-def test_advise_cfl_rule(capsys):
-    assert main(["advise", "--h", "0.1", "--t-end", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "dispersive_cfl" in out
-    assert "0.000166667" in out
+@pytest.mark.parametrize(
+    "config, plan",
+    [
+        (
+            "tau_rule = paper_strict\nh = 0.2\nt_end = 1\nsafety = 1\n",
+            ("paper_strict", "2.84438e-05", 35157, 200),
+        ),
+        ("h = 0.1\nt_end = 1\n", ("dispersive_cfl", "0.000166667", 6000, 400)),
+        # the N=1 system has half the Hirota-Satsuma system's largest dispersion
+        ("system = hs_kdv1\nh = 0.1\nt_end = 3\n", ("dispersive_cfl", "0.000333333", 9000, 400)),
+    ],
+    ids=["paper_strict", "dispersive_cfl", "hs_kdv1"],
+)
+def test_advise_prints_the_plan_the_config_runs_with(tmp_path, capsys, config, plan):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert main(["advise", "--config", str(cfg)]) == 0
+    rule, tau, n_steps, m_points = plan
+    assert capsys.readouterr().out.splitlines() == [
+        f"rule = {rule}", f"tau = {tau}", f"steps to t_end = {n_steps}", f"m_points = {m_points}"
+    ]
 
 
 def test_run_config_exit_codes(tmp_path, capsys):
@@ -128,12 +137,12 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "argv, config, message",
     [
-        (["advise", "--h=-1", "--t-end", "1"], None, "h must be positive"),
-        (["advise", "--h", "inf", "--t-end", "1"], None, "h must be finite"),
-        (["advise", "--h", "1e200", "--t-end", "1"], None, "h = 1e+200"),
-        (["advise", "--h", "0.1", "--t-end", "nan"], None, "t_end must be finite"),
-        (["advise", "--h", "0.1", "--t-end", "inf"], None, "t_end must be finite"),
-        (["advise", "--h", "0.1", "--t-end", "1", "--safety", "nan"], None, "safety must be finite"),
+        (["run"], "h = -1\n", "h must be positive"),
+        (["run"], "h = inf\n", "h must be finite"),
+        (["run"], "safety = nan\n", "safety must be finite"),
+        (["run"], "tau_rule = sometimes\n", "unknown rule 'sometimes'"),
+        (["run"], "system = unknown\n", "unknown system 'unknown'"),
+        (["run"], "snapshot_every = 1\n", "snapshot_every must not exceed t_end"),
         (["converge", "--levels", "2"], None, "n_levels must be >= 3"),
         (["converge", "--h0=-1"], None, "h must be positive"),
         (["converge", "--t-end", "nan"], None, "t_end must be finite"),
@@ -167,10 +176,15 @@ def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, m
         cfg = tmp_path / "run.cfg"
         config = config.format(tmp=tmp_path)
         cfg.write_text(config + f"t_end = 0.01\noutput_dir = {tmp_path / 'out'}\n")
+        # advise sets up as run does, so it rejects the config with the same message
+        assert main(["advise", "--config", str(cfg)]) == 1
+        advise_err = capsys.readouterr().err
         argv = argv + ["--config", str(cfg)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    if config is not None:
+        assert advise_err == err
 
 
 def test_run_output_dir_that_is_a_file_is_a_config_fault(tmp_path, capsys):

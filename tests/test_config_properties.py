@@ -1,7 +1,8 @@
 """Property tests at the config boundary: every input is accepted or
 rejected with a ConfigError, ``ckdv advise`` exits 0 or 1, and ``ckdv run``
-exits 0, 1 or 2 whatever its initial data: 1 on exactly the configs
-``validate_config`` rejects."""
+exits 0, 1 or 2 whatever its initial data. ``ckdv run`` and ``ckdv advise``
+exit 1 on exactly the configs ``validate_config`` rejects, and
+``ckdv advise`` exits 0 on the rest."""
 
 import contextlib
 import io
@@ -61,14 +62,16 @@ def test_validate_config_returns_or_raises_config_error(
     h=ANY_FLOAT,
     t_end=ANY_FLOAT,
     safety=ANY_FLOAT,
-    rule=st.sampled_from(["paper", "cfl"]),
+    rule=st.sampled_from(["paper_strict", "dispersive_cfl"]),
 )
 def test_advise_exits_0_or_1(h, t_end, safety, rule):
-    argv = ["advise", f"--h={h!r}", f"--t-end={t_end!r}", f"--safety={safety!r}", "--rule", rule]
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("ignore")
-        assert main(argv) in (0, 1)
+    with tempfile.TemporaryDirectory() as root:
+        cfg = Path(root) / "run.cfg"
+        cfg.write_text(f"h = {h!r}\nt_end = {t_end!r}\nsafety = {safety!r}\ntau_rule = {rule}\n")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            assert main(["advise", "--config", str(cfg)]) in (0, 1)
 
 
 @settings(deadline=None, max_examples=200)
@@ -154,8 +157,10 @@ def test_run_exits_1_exactly_when_validate_config_rejects(custom_systems, small,
         try:
             config, _, _, n_steps, grid, _, _ = _resolve(validate_config(load_config(cfg)))
         except ConfigError:
+            assert main(["advise", "--config", str(cfg)]) == 1
             assert main(argv) == 1
             return
+        assert main(["advise", "--config", str(cfg)]) == 0
         over_budget = n_steps * grid.m_points > MAX_NODE_STEPS
         if not over_budget and config.t_end <= MAX_SNAPSHOTS * config.snapshot_every:
             assert main(argv) in (0, 2)

@@ -142,6 +142,27 @@ def test_three_mode_blow_up_step_matches_roll_transcription(factor):
     assert info.value.step == expected
 
 
+def test_half_layer_check_catches_a_linear_blow_up_a_step_before_the_full_layer():
+    # one linear mode of period 3h at tau * omega = 0.7: per step the half
+    # layer grows by sqrt(1 + 0.7^2 / 4) and the full one by sqrt(1 + 0.7^4 / 4),
+    # so the half layer crosses the limit first
+    spec = SystemSpec(1, (0.0,), (0.5,), ())
+    h = 0.1
+    omega = 0.5 * (3 * math.sqrt(3) / 2) / h**3
+    grid = Grid(0.0, h, 30, 0.7 / omega)
+    u0 = np.cos(2 * np.pi * np.arange(30) / 3)[None, :]
+    layers, expected = roll_advance(u0, spec, grid, 1000)
+    assert expected is not None
+    with pytest.raises(BlowUpError) as info:
+        advance(FieldSet(u0, 0.0), spec, grid, 1000)
+    assert info.value.step == expected
+    # the completed layer of that step is still inside the limit: only the
+    # intermediate layer's check stops the run there
+    u = layers[-1]
+    full = u - grid.tau * roll_rhs(u - (0.5 * grid.tau) * roll_rhs(u, spec, h), spec, h)
+    assert np.max(np.abs(full)) <= BLOWUP_FACTOR * np.max(np.abs(u0))
+
+
 def test_single_mode_advance_equals_repeated_single_mode_step():
     rng = np.random.default_rng(3)
     f = np.cumsum(rng.standard_normal(64))

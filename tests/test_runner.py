@@ -172,6 +172,15 @@ def test_validate_config_faults_name_fields(tmp_path):
 def test_validate_config_warns_on_narrow_domain():
     with pytest.warns(UserWarning, match="edge contamination"):
         validate_config(RunConfig(ic_kind="stretched_soliton", width_scale=10.0))
+    # at m = 0.5 mode 2 decays like sech: 9.3e-5 of its peak at the edges of [-20, 20]
+    with pytest.warns(UserWarning, match=r"reach 8\.7e-09, 9\.3e-05 .*edge contamination"):
+        validate_config(RunConfig(m=0.5))
+
+
+def test_validate_config_is_silent_where_the_initial_data_vanish_at_the_edges():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_config(get_preset("fig3").config)
 
 
 def test_custom_system_file(tmp_path):
@@ -433,6 +442,16 @@ def test_config_and_system_files_share_the_line_reader(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(tmp_path / "missing.cfg")
     assert "cannot read config file" in str(info.value)
+    # a repeated key is a fault in both files; only a system's term repeats
+    sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nd = 0.5\n")
+    with pytest.raises(ConfigError, match=r"system\.cfg line 4: duplicate key 'd'") as info:
+        build_system(RunConfig(system=f"custom:{sysfile}"))
+    assert (info.value.field, info.value.line) == ("system", 4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 0.1\nh = 0.2\n")
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'h'") as info:
+        load_config(cfg)
+    assert (info.value.field, info.value.line) == ("h", 2)
 
 
 @pytest.mark.parametrize("via_cli", [False, True], ids=["run_experiment", "main"])
@@ -442,7 +461,7 @@ def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch, via_cli):
 
     sysfile = tmp_path / "system.cfg"
     sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n")
-    # a domain narrower than 20 profile widths: the run warns, once
+    # initial data at 2.2e-4 of its peak on the domain edges: the run warns, once
     config = quick_config(
         tmp_path, system=f"custom:{sysfile}", ic_kind="stretched_soliton", x_min=-5.0, x_max=5.0
     )
