@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .errors import BlowUpError, CkdvError
 from .runner import (
@@ -109,11 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a warning prints as one line, like an error, not as a package source line
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except CkdvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BlowUpError) else 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

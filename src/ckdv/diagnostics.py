@@ -118,10 +118,6 @@ class DiagnosticTrace:
             for mode in range(n):
                 self.max_percent_error[mode].append(float(errs[mode]))
 
-    @property
-    def n_records(self) -> int:
-        return len(self.times)
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:

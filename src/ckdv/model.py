@@ -113,7 +113,7 @@ class Grid:
         if self.m_points < 5:
             msg = f"the stencil needs m_points >= 5, got {self.m_points}"
             raise ConfigError(msg, field="m_points")
-        if self.m_points > 2**24:  # one row is then 128 MiB, and a run holds about eight
+        if self.m_points > 2**24:  # a row is then 128 MiB; a 2-mode advance peaks at ~21 rows
             msg = f"m_points = {self.m_points} exceeds 2**24; coarsen h or narrow the domain"
             raise ConfigError(msg, field="m_points")
 
@@ -165,9 +165,6 @@ class FieldSet:
     @property
     def m_points(self) -> int:
         return self.values.shape[1]
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

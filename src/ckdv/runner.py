@@ -86,14 +86,18 @@ CONFIG_KEYS = _FLOAT_KEYS + tuple(f.name for f in dataclasses.fields(RunConfig) 
 
 @dataclass
 class RunReport:
-    """Outcome of one run: snapshot files on disk plus the diagnostics trace."""
+    """One run: snapshot files on disk, the diagnostics trace, and the step
+    that blew up (``None`` if the run completed)."""
 
     snapshots: list[tuple[float, Path]]
     trace: DiagnosticTrace
-    outcome: str  # "completed" | "blew_up"
     blow_up_step: int | None
     plan: StepPlan
     output_dir: Path
+
+    @property
+    def outcome(self) -> str:
+        return "completed" if self.blow_up_step is None else "blew_up"
 
 
 def _read_key_values(path: Path, what: str, field: str | None = None):
@@ -341,15 +345,8 @@ def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
     _write_csv(path, header, row_template, zip(*columns))
 
 
-def _write_report(
-    path: Path,
-    plan: StepPlan,
-    n_steps: int,
-    grid: Grid,
-    outcome: str,
-    blow_up_step: int | None,
-    snapshots: list[tuple[float, Path]],
-) -> None:
+def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> None:
+    plan = report.plan
     rows = [
         ("plan", "rule", plan.rule),
         ("plan", "safety", "%.17g" % plan.safety),
@@ -359,11 +356,11 @@ def _write_report(
         ("grid", "x_min", "%.17g" % grid.x_min),
         ("grid", "h", "%.17g" % grid.h),
         ("grid", "m_points", grid.m_points),
-        ("run", "outcome", outcome),
+        ("run", "outcome", report.outcome),
     ]
-    if blow_up_step is not None:
-        rows.append(("run", "blow_up_step", blow_up_step))
-    rows += [("snapshot", idx, snap_path.name) for idx, (_, snap_path) in enumerate(snapshots)]
+    if report.blow_up_step is not None:
+        rows.append(("run", "blow_up_step", report.blow_up_step))
+    rows += [("snapshot", i, snap_path.name) for i, (_, snap_path) in enumerate(report.snapshots)]
     _write_csv(path, ["kind", "key", "value"], "%s,%s,%s\n", rows)
 
 
@@ -410,9 +407,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     amplitude = None if oracle is None else state0.max_norm()
 
     out_dir = _make_output_dir(Path(config.output_dir))
-
-    trace = DiagnosticTrace()
-    snapshots: list[tuple[float, Path]] = []
+    report = RunReport([], DiagnosticTrace(), None, plan, out_dir)
+    snapshots, trace = report.snapshots, report.trace
 
     def emit(state: FieldSet) -> None:
         idx = len(snapshots)
@@ -431,17 +427,14 @@ def run_experiment(config: RunConfig) -> RunReport:
             emit(FieldSet(values, time))
             next_snap = next(snap_steps, None)
 
-    outcome = "completed"
-    blow_up_step = None
     try:
         advance(state0, spec, grid, n_steps, observer)
     except BlowUpError as exc:
-        outcome = "blew_up"
-        blow_up_step = exc.step
+        report.blow_up_step = exc.step
 
     _write_trace(out_dir / "trace.csv", trace)
-    _write_report(out_dir / "report.csv", plan, n_steps, grid, outcome, blow_up_step, snapshots)
-    return RunReport(snapshots, trace, outcome, blow_up_step, plan, out_dir)
+    _write_report(out_dir / "report.csv", report, n_steps, grid)
+    return report
 
 
 def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> ConvergenceReport:

@@ -11,9 +11,9 @@ where for each mode n
 
     R_n(u) = c_n D1(u_n) + sum_terms g * u_k * D1(u_m) + e_n D3(u_n).
 
-``advance`` is the one way to run the scheme. Its kernel keeps each layer
-in a buffer with two periodic ghost cells per side, and each stage writes
-the next layer in place, in a fixed operation order that keeps runs
+``advance`` is the one way to run the scheme. Its kernel keeps two layers,
+each a buffer with two periodic ghost cells per side; the full stage
+overwrites layer j in place, in a fixed operation order that keeps runs
 bit-for-bit reproducible. Per step it copies nothing for the observer and
 clears most layers' blow-up checks by their sum of squares alone.
 
@@ -105,8 +105,8 @@ class _Kernel:
     """The scheme's right-hand side R, applied in place on padded layers,
     and the one blow-up check.
 
-    Holds three layers (current, intermediate, next) and every scratch
-    array, so ``stage`` and ``check`` allocate nothing. The scratch arrays
+    Holds two layers (current, intermediate) and every scratch array, so
+    ``stage`` and ``check`` allocate nothing. The scratch arrays
     span the layers' flat ``core`` range, so each operation is one
     contiguous ufunc over all modes; per-mode speeds and dispersions repeat
     along their rows.
@@ -120,7 +120,7 @@ class _Kernel:
     def __init__(self, spec: SystemSpec, grid: Grid, start: np.ndarray):
         n, m = spec.n_modes, grid.m_points
         self.shape = (n, m)
-        self.layers = tuple(_Layer(n, m) for _ in range(3))
+        self.layers = (_Layer(n, m), _Layer(n, m))
         self.two_h = 2.0 * grid.h
         self.two_h3 = 2.0 * grid.h**3
         w = m + 4
@@ -164,7 +164,9 @@ class _Kernel:
             raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
 
     def stage(self, base: _Layer, arg: _Layer, dt: float, out: _Layer) -> None:
-        """Set ``out`` to ``base - dt * R(arg)``, ghost cells included."""
+        """Set ``out`` to ``base - dt * R(arg)``, ghost cells included.
+
+        ``out`` may be ``base``: all of R is built before ``base`` is read."""
         np.multiply(arg.flat, 2.0, out=self.twice)
         d1 = np.subtract(arg.up1, arg.dn1, out=self.d1)
         d1 /= self.two_h
@@ -207,16 +209,15 @@ def advance(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     kern = _Kernel(spec, grid, state.values)
-    cur, half, nxt = kern.layers
+    cur, half = kern.layers
     tau = grid.tau
     t0 = state.time
     for j in range(1, n_steps + 1):
         t = t0 + j * tau
         kern.stage(cur, cur, 0.5 * tau, half)
         kern.check(half, j, t)
-        kern.stage(cur, half, tau, nxt)
-        kern.check(nxt, j, t)
-        cur, nxt = nxt, cur
+        kern.stage(cur, half, tau, cur)
+        kern.check(cur, j, t)
         if observer is not None:
             observer(j, t, cur.view)
     return FieldSet(cur.values, t0 + n_steps * tau)

@@ -85,6 +85,22 @@ def test_run_tiny_snapshot_interval_exits_promptly(tmp_path):
     assert "2 snapshots" in result.stdout
 
 
+def test_warning_prints_as_one_line(tmp_path):
+    # a child process, so pytest does not record the warning in place of printing it
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("m = 0.5\nh = 0.1\nt_end = 0.01\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ckdv.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ckdv.cli", "advise", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == (
+        "warning: the initial data at the domain edges reach 9.1e-09, 9.5e-05 of each mode's "
+        "peak (above 1e-06); edge contamination possible\n"
+    )
+
+
 def test_run_blow_up_exit_code(tmp_path, capsys):
     cfg = tmp_path / "blow.cfg"
     cfg.write_text(

@@ -175,7 +175,7 @@ def test_trace_records_consistent_lengths():
     trace = DiagnosticTrace()
     trace.record(state, grid.h, evaluate, 2.0)
     trace.record(FieldSet(state.values, 0.1), grid.h, evaluate, 2.0)
-    assert trace.n_records == 2
+    assert len(trace.times) == 2
     assert len(trace.l2_norms) == 2 and len(trace.l2_norms[0]) == 2
     assert len(trace.mass[0]) == 2
     assert len(trace.hs_invariant) == 2

