@@ -26,8 +26,8 @@ from .stepper import (
     advise_tau,
 )
 from .analytic import (
-    InitialCondition,
     SolitonParams,
+    StretchedSoliton,
     TrianglePulse,
     hs_soliton,
     sample_initial,
@@ -79,8 +79,8 @@ __all__ = [
     "StepPlan",
     "advance",
     "advise_tau",
-    "InitialCondition",
     "SolitonParams",
+    "StretchedSoliton",
     "TrianglePulse",
     "hs_soliton",
     "sample_initial",

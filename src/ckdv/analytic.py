@@ -1,4 +1,4 @@
-"""Closed-form Hirota-Satsuma solutions and initial-condition factories.
+"""Closed-form Hirota-Satsuma solutions and the kinds of initial data.
 
 The two-parameter one-soliton solution of the Hirota-Satsuma system is
 
@@ -10,6 +10,9 @@ with real parameters m != 0 and |d| < 1 (for |d| > 1 the denominator can
 vanish and poles appear; that regime is rejected). For d = 0 the first
 mode reduces to the familiar 2 m^2 sech^2(0.5 m^3 t - m x), a crest moving
 right at speed m^2 / 2.
+
+Each kind of initial data has a nominal spatial scale ``width`` and a
+``sample(x)`` that returns its two stacked modes at t = 0, shape ``(2, M)``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, require_positive
 from .model import FieldSet, Grid
-
-IC_SOLITON = "hs_soliton"
-IC_STRETCHED = "stretched_soliton"
-IC_TRIANGLE = "triangle_pulse"
-IC_KINDS = (IC_SOLITON, IC_STRETCHED, IC_TRIANGLE)
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,37 @@ class SolitonParams:
         if abs(self.d) >= 1:
             raise ConfigError("|d| must be < 1 (pole regime rejected)", field="d")
 
+    @property
+    def width(self) -> float:
+        return 1.0 / abs(self.m)
+
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        return hs_soliton(x, 0.0, self)
+
+
+@dataclass(frozen=True)
+class StretchedSoliton:
+    """Decay-run initial data: ``amp_scale * theta(x / width_scale, 0)`` on both modes."""
+
+    soliton: SolitonParams
+    width_scale: float
+    amp_scale: float
+
+    def __post_init__(self):
+        require_positive("width_scale", self.width_scale)
+        require_positive("amp_scale", self.amp_scale)
+
+    @property
+    def width(self) -> float:
+        return self.width_scale / abs(self.soliton.m)
+
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        return self.amp_scale * hs_soliton(x / self.width_scale, 0.0, self.soliton)
+
 
 @dataclass(frozen=True)
 class TrianglePulse:
-    """Symmetric triangle profile A * max(0, 1 - |x - center| / half_width)."""
+    """Symmetric triangle A * max(0, 1 - |x - center| / half_width) on both modes."""
 
     amplitude: float
     half_width: float
@@ -62,40 +87,13 @@ class TrianglePulse:
         if self.half_width <= 0:
             raise ConfigError("triangle half_width must be positive", field="half_width")
 
-
-@dataclass(frozen=True)
-class InitialCondition:
-    """Initial data for a run.
-
-    ``width_scale`` and ``amp_scale`` are read only by the
-    ``stretched_soliton`` kind, which samples
-    ``amp_scale * theta(x / width_scale, 0)`` on both modes.
-    """
-
-    kind: str
-    soliton: SolitonParams | None = None
-    pulse: TrianglePulse | None = None
-    width_scale: float = 1.0
-    amp_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in IC_KINDS:
-            raise ConfigError(f"kind must be one of {IC_KINDS}, got {self.kind!r}", field="kind")
-        require_positive("width_scale", self.width_scale)
-        require_positive("amp_scale", self.amp_scale)
-        if self.kind in (IC_SOLITON, IC_STRETCHED) and self.soliton is None:
-            raise ConfigError(f"{self.kind} requires soliton parameters", field="soliton")
-        if self.kind == IC_TRIANGLE and self.pulse is None:
-            raise ConfigError("triangle_pulse requires pulse parameters", field="pulse")
-
     @property
     def width(self) -> float:
-        """Nominal spatial scale of the data: the triangle's half-width, else the
-        soliton's argument scale, ``width_scale / |m|`` stretched and ``1 / |m|`` plain."""
-        if self.kind == IC_TRIANGLE:
-            return self.pulse.half_width
-        scale = self.width_scale if self.kind == IC_STRETCHED else 1.0
-        return scale / abs(self.soliton.m)
+        return self.half_width
+
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        profile = self.amplitude * np.maximum(0.0, 1.0 - np.abs(x - self.center) / self.half_width)
+        return np.stack([profile, profile])
 
 
 def _sech(x):
@@ -176,21 +174,6 @@ def verify_residual(p: SolitonParams, x, t: float, delta: float = 1e-3):
     return r1, r2
 
 
-def sample_initial(ic: InitialCondition, grid: Grid) -> FieldSet:
-    """Sample an initial condition on the grid nodes at t = 0.
-
-    Soliton kinds produce the two Hirota-Satsuma modes; the triangle pulse
-    puts the same profile in both modes.
-    """
-    x = grid.nodes()
-    if ic.kind == IC_SOLITON:
-        values = hs_soliton(x, 0.0, ic.soliton)
-    elif ic.kind == IC_STRETCHED:
-        values = ic.amp_scale * hs_soliton(x / ic.width_scale, 0.0, ic.soliton)
-    else:
-        pulse = ic.pulse
-        profile = pulse.amplitude * np.maximum(
-            0.0, 1.0 - np.abs(x - pulse.center) / pulse.half_width
-        )
-        values = np.stack([profile, profile])
-    return FieldSet(values, 0.0)
+def sample_initial(ic: SolitonParams | StretchedSoliton | TrianglePulse, grid: Grid) -> FieldSet:
+    """Sample initial data of any kind on the grid nodes at t = 0."""
+    return FieldSet(ic.sample(grid.nodes()), 0.0)

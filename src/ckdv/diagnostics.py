@@ -66,12 +66,10 @@ def count_peaks(field_values: Sequence[float], threshold: float) -> int:
     for i in range(m):
         if f[i] <= threshold or f[i] <= f[(i - 1) % m]:
             continue
-        # ascended into a run starting at i; walk to its right edge
+        # ascended into a run starting at i; walk to its right edge (i - 1 at the latest)
         j = i
-        while j - i < m and f[(j + 1) % m] == f[i]:
+        while f[(j + 1) % m] == f[i]:
             j += 1
-        if j - i >= m:
-            break  # constant field, unreachable after the ascent check
         if f[(j + 1) % m] < f[i]:
             count += 1
     return count

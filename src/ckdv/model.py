@@ -162,13 +162,6 @@ class FieldSet:
     def n_modes(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def m_points(self) -> int:
-        return self.values.shape[1]
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def make_hirota_satsuma() -> SystemSpec:
     """The integrable Hirota-Satsuma two-mode system.

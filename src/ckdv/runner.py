@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,17 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import (
-    IC_SOLITON,
-    IC_STRETCHED,
-    IC_TRIANGLE,
-    InitialCondition,
     SolitonParams,
+    StretchedSoliton,
     TrianglePulse,
     sample_initial,
     soliton_evaluator,
 )
 from .diagnostics import ConvergenceReport, DiagnosticTrace, l2_norm, observed_orders
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, ConfigError, require_positive
 from .model import (
     FieldSet,
     Grid,
@@ -46,6 +44,10 @@ SYSTEM_HS = "hirota_satsuma"
 SYSTEM_PERTURBED = "perturbed_hs"
 SYSTEM_KDV1 = "hs_kdv1"  # isolated first Hirota-Satsuma equation, N=1
 CUSTOM_PREFIX = "custom:"
+IC_SOLITON = "hs_soliton"
+IC_STRETCHED = "stretched_soliton"
+IC_TRIANGLE = "triangle_pulse"
+IC_KINDS = (IC_SOLITON, IC_STRETCHED, IC_TRIANGLE)
 # a mode whose start data at the periodic seam exceed this share of its peak warns
 EDGE_RATIO = 1e-6
 
@@ -174,20 +176,25 @@ def build_system(config: RunConfig) -> SystemSpec:
     )
 
 
-def build_initial_condition(config: RunConfig) -> InitialCondition:
-    triangle = config.ic_kind == IC_TRIANGLE
-    pulse = TrianglePulse(config.amplitude, config.half_width, config.center) if triangle else None
-    return InitialCondition(
-        config.ic_kind,
-        soliton=None if triangle else SolitonParams(config.m, config.d),
-        pulse=pulse,
-        width_scale=config.width_scale,
-        amp_scale=config.amp_scale,
-    )
+def build_initial_condition(config: RunConfig) -> SolitonParams | StretchedSoliton | TrianglePulse:
+    """The initial data ``config.ic_kind`` names, built from its keys."""
+    if config.ic_kind == IC_TRIANGLE:
+        ic = TrianglePulse(config.amplitude, config.half_width, config.center)
+    else:
+        ic = SolitonParams(config.m, config.d)
+        if config.ic_kind == IC_STRETCHED:
+            ic = StretchedSoliton(ic, config.width_scale, config.amp_scale)
+        elif config.ic_kind != IC_SOLITON:
+            msg = f"kind must be one of {IC_KINDS}, got {config.ic_kind!r}"
+            raise ConfigError(msg, field="ic_kind")
+    # a config rule for every kind, though only the stretched data reads them
+    require_positive("width_scale", config.width_scale)
+    require_positive("amp_scale", config.amp_scale)
+    return ic
 
 
 # constructor parameter -> config key, where the two names differ
-_CONFIG_KEY = {"kind": "ic_kind", "rule": "tau_rule", "m_points": "h"}
+_CONFIG_KEY = {"rule": "tau_rule", "m_points": "h"}
 
 
 def _has_oracle(config: RunConfig) -> bool:
@@ -249,12 +256,16 @@ def _resolve(config: RunConfig):
     peaks = np.abs(state0.values).max(axis=1).tolist()
     if any(e > EDGE_RATIO * p for e, p in zip(edges, peaks)):
         ratios = ", ".join(f"{e / p if p else 0.0:.2g}" for e, p in zip(edges, peaks))
+        # point at the first caller outside the package, or at the outermost frame
+        level, frame = 1, sys._getframe()
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"the initial data at the domain edges reach {ratios} of each mode's peak "
             f"(above {EDGE_RATIO:g}); edge contamination possible",
-            stacklevel=3,
+            stacklevel=level,
         )
-    oracle = soliton_evaluator(ic.soliton, grid.nodes()) if _has_oracle(config) else None
+    oracle = soliton_evaluator(ic, grid.nodes()) if _has_oracle(config) else None
     config = dataclasses.replace(config, snapshot_every=snapshot_every)
     return config, spec, plan, n_steps, grid, state0, oracle
 
@@ -373,14 +384,12 @@ def _snapshot_steps(per_snapshot: float, n_steps: int):
     ``n_steps`` always does. Each step index costs O(1) to find, however
     small the interval.
     """
+    per_snapshot = max(per_snapshot, 1.0)  # a shorter interval also ends on every step
     tolerance = 1e-9 * per_snapshot
     step = 0
     while step < n_steps:
-        if per_snapshot <= 1.0:
-            step += 1  # an interval of at most one step ends on every step
-        else:
-            k = math.floor(step / per_snapshot + 1e-9) + 1
-            step = max(step + 1, math.ceil(k * per_snapshot - tolerance))
+        k = math.floor(step / per_snapshot + 1e-9) + 1
+        step = max(step + 1, math.ceil(k * per_snapshot - tolerance))
         step = min(step, n_steps)
         yield step
 
@@ -404,7 +413,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     """
     config, spec, plan, n_steps, grid, state0, oracle = _resolve(config)
     x_column = _format_column(grid.nodes())
-    amplitude = None if oracle is None else state0.max_norm()
+    amplitude = None if oracle is None else float(np.abs(state0.values).max())
 
     out_dir = _make_output_dir(Path(config.output_dir))
     report = RunReport([], DiagnosticTrace(), None, plan, out_dir)

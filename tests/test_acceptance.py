@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ckdv.analytic import InitialCondition, SolitonParams, sample_initial, verify_residual
+from ckdv.analytic import SolitonParams, sample_initial, verify_residual
 from ckdv.diagnostics import count_peaks
 from ckdv.errors import BlowUpError
 from ckdv.model import Grid, make_hirota_satsuma
@@ -103,7 +103,7 @@ def test_criterion_5_conditional_stability(soliton_run):
     h = 0.05
     plan = advise_tau(HS, h, 1.0, "dispersive_cfl", 0.25)
     grid = Grid(-20.0, h, 800, plan.tau * 100.0)
-    state = sample_initial(InitialCondition("hs_soliton", soliton=SolitonParams(1.0, 0.0)), grid)
+    state = sample_initial(SolitonParams(1.0, 0.0), grid)
     step = None
     try:
         advance(state, HS, grid, 1000)

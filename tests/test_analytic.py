@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ckdv.analytic import (
-    InitialCondition,
     SolitonParams,
+    StretchedSoliton,
     TrianglePulse,
     hs_soliton,
     sample_initial,
@@ -12,6 +12,7 @@ from ckdv.analytic import (
 )
 from ckdv.errors import ConfigError
 from ckdv.model import Grid
+from ckdv.runner import RunConfig, build_initial_condition
 
 
 def test_soliton_origin_values_d0():
@@ -111,7 +112,7 @@ def test_residual_far_tail_is_negligible():
 
 def test_sample_soliton_peak_on_grid():
     grid = Grid(-20.0, 0.05, 800, 1e-4)
-    state = sample_initial(InitialCondition("hs_soliton", soliton=SolitonParams(1.0, 0.0)), grid)
+    state = sample_initial(SolitonParams(1.0, 0.0), grid)
     assert state.time == 0.0
     assert state.n_modes == 2
     i_max = int(np.argmax(state.values[0]))
@@ -121,9 +122,7 @@ def test_sample_soliton_peak_on_grid():
 
 def test_sample_stretched_soliton_scales():
     grid = Grid(-40.0, 0.05, 1600, 1e-4)
-    ic = InitialCondition(
-        "stretched_soliton", soliton=SolitonParams(1.0, 0.0), width_scale=10.0, amp_scale=2.0
-    )
+    ic = StretchedSoliton(SolitonParams(1.0, 0.0), width_scale=10.0, amp_scale=2.0)
     state = sample_initial(ic, grid)
     x = grid.nodes()
     assert np.max(state.values[0]) == pytest.approx(4.0, abs=1e-12)
@@ -136,7 +135,7 @@ def test_sample_stretched_soliton_scales():
 
 def test_sample_triangle_pulse():
     grid = Grid(-10.0, 0.25, 80, 1e-4)
-    ic = InitialCondition("triangle_pulse", pulse=TrianglePulse(1.0, 2.0, 0.0))
+    ic = TrianglePulse(1.0, 2.0, 0.0)
     state = sample_initial(ic, grid)
     x = grid.nodes()
     expected = np.maximum(0.0, 1.0 - np.abs(x) / 2.0)
@@ -147,30 +146,13 @@ def test_sample_triangle_pulse():
 
 def test_initial_condition_validation():
     with pytest.raises(ValueError):
-        InitialCondition("no_such_kind")
+        build_initial_condition(RunConfig(ic_kind="no_such_kind"))
     with pytest.raises(ValueError):
-        InitialCondition("hs_soliton")  # missing soliton params
-    with pytest.raises(ValueError):
-        InitialCondition("triangle_pulse")  # missing pulse
-    with pytest.raises(ValueError):
-        InitialCondition(
-            "stretched_soliton", soliton=SolitonParams(1.0, 0.0), width_scale=0.0
-        )
+        StretchedSoliton(SolitonParams(1.0, 0.0), width_scale=0.0, amp_scale=1.0)
     with pytest.raises(ValueError):
         TrianglePulse(0.0, 1.0)
     with pytest.raises(ValueError):
         TrianglePulse(1.0, -2.0)
-
-
-def test_initial_condition_missing_parameters_name_their_field():
-    for kind, field in [
-        ("hs_soliton", "soliton"),
-        ("stretched_soliton", "soliton"),
-        ("triangle_pulse", "pulse"),
-    ]:
-        with pytest.raises(ConfigError, match="requires") as info:
-            InitialCondition(kind)
-        assert info.value.field == field
 
 
 def test_soliton_evaluator_matches_direct_call():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,24 @@ def test_preset_command_oracle(tmp_path, capsys):
     assert main(["preset", "fig1", "--out", str(tmp_path / "fig1")]) == 0
     out = capsys.readouterr().out
     assert "oracle_m0.5_d0.csv" in out
+
+
+def test_preset_command_simulation(tmp_path, capsys):
+    out_dir = tmp_path / "fig4a"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["preset", "fig4a", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "outcome: completed\n"
+        "tau = 0.000333333 (dispersive_cfl, safety 0.25)\n"
+        f"7 snapshots in {out_dir}\n"
+    )
+    names = {path.name for path in out_dir.iterdir()}
+    snaps = {path.name for path in out_dir.glob("snap_*.csv")}
+    assert len(snaps) == 7
+    assert names - snaps == {"trace.csv", "report.csv"}
+    # the stretched data reach 2.5e-05 of the peak at the edges of [-150, 60]
+    assert [w.category for w in caught] == [UserWarning]
 
 
 def test_preset_command_unknown(capsys):

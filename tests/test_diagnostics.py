@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ckdv.analytic import (
-    InitialCondition,
     SolitonParams,
     sample_initial,
     soliton_evaluator,
@@ -24,7 +23,7 @@ from ckdv.model import FieldSet, Grid, make_hirota_satsuma
 from ckdv.stepper import advance, advise_tau
 
 HS = make_hirota_satsuma()
-SOLITON = InitialCondition("hs_soliton", soliton=SolitonParams(1.0, 0.0))
+SOLITON = SolitonParams(1.0, 0.0)
 
 
 # ------------------------------------------------------------------ norms
@@ -97,14 +96,14 @@ def test_hs_invariant_drift_shrinks_under_refinement():
 def test_percent_error_exact_match():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     state = sample_initial(SOLITON, grid)
-    evaluate = soliton_evaluator(SOLITON.soliton, grid.nodes())
+    evaluate = soliton_evaluator(SOLITON, grid.nodes())
     assert np.array_equal(percent_error(state, evaluate, 2.0), np.zeros(2))
 
 
 def test_percent_error_uniform_deviation():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     state = sample_initial(SOLITON, grid)
-    evaluate = soliton_evaluator(SOLITON.soliton, grid.nodes())
+    evaluate = soliton_evaluator(SOLITON, grid.nodes())
     off = FieldSet(state.values + 0.02, 0.0)
     err = percent_error(off, evaluate, 2.0)
     assert err == pytest.approx([1.0, 1.0], rel=1e-12)
@@ -115,10 +114,10 @@ def test_percent_error_shift_invariance():
     state = sample_initial(SOLITON, grid)
     rng = np.random.default_rng(11)
     noisy = FieldSet(state.values + 1e-3 * rng.normal(size=state.values.shape), 0.0)
-    evaluate = soliton_evaluator(SOLITON.soliton, grid.nodes())
+    evaluate = soliton_evaluator(SOLITON, grid.nodes())
     shift = 57
     noisy_shifted = FieldSet(np.roll(noisy.values, shift, axis=1), 0.0)
-    evaluate_shifted = soliton_evaluator(SOLITON.soliton, np.roll(grid.nodes(), shift))
+    evaluate_shifted = soliton_evaluator(SOLITON, np.roll(grid.nodes(), shift))
     a = percent_error(noisy, evaluate, 2.0)
     b = percent_error(noisy_shifted, evaluate_shifted, 2.0)
     assert np.array_equal(a, b)
@@ -128,7 +127,7 @@ def test_percent_error_rejects_bad_amplitude():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     state = sample_initial(SOLITON, grid)
     with pytest.raises(ValueError):
-        percent_error(state, soliton_evaluator(SOLITON.soliton, grid.nodes()), 0.0)
+        percent_error(state, soliton_evaluator(SOLITON, grid.nodes()), 0.0)
 
 
 # ------------------------------------------------------------- peak count
@@ -171,7 +170,7 @@ def test_count_peaks_wraps_periodically():
 def test_trace_records_consistent_lengths():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     state = sample_initial(SOLITON, grid)
-    evaluate = soliton_evaluator(SOLITON.soliton, grid.nodes())
+    evaluate = soliton_evaluator(SOLITON, grid.nodes())
     trace = DiagnosticTrace()
     trace.record(state, grid.h, evaluate, 2.0)
     trace.record(FieldSet(state.values, 0.1), grid.h, evaluate, 2.0)

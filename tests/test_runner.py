@@ -98,6 +98,10 @@ def test_load_config_non_numeric_value(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert info.value.field == "h"
+    path.write_text("h =\n")
+    with pytest.raises(ConfigError, match="line 1: empty value for 'h'") as info:
+        load_config(path)
+    assert (info.value.field, info.value.line) == ("h", 1)
 
 
 def test_load_config_perturbed_system(tmp_path):
@@ -177,6 +181,30 @@ def test_validate_config_warns_on_narrow_domain():
         validate_config(RunConfig(m=0.5))
 
 
+def _edge_config(tmp_path):
+    # m = 0.5 on [-20, 20]: mode 2 reaches 9.3e-5 of its peak at the edges
+    return RunConfig(m=0.5, h=0.1, t_end=0.01, output_dir=str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp_path: validate_config(_edge_config(tmp_path)),
+        lambda tmp_path: run_experiment(_edge_config(tmp_path)),
+        lambda tmp_path: write_config(_edge_config(tmp_path), tmp_path / "edge.cfg"),
+        lambda tmp_path: run_preset("fig1", tmp_path / "fig1"),
+        lambda tmp_path: _resolve(_edge_config(tmp_path)),
+    ],
+    ids=["validate_config", "run_experiment", "write_config", "run_preset", "_resolve"],
+)
+def test_edge_warning_points_at_the_callers_line(tmp_path, call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(tmp_path)
+    # the line of the lambda that called the entry point
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, call.__code__.co_firstlineno)]
+
+
 def test_validate_config_is_silent_where_the_initial_data_vanish_at_the_edges():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -207,6 +235,32 @@ def test_custom_system_file_faults(tmp_path):
     sysfile.write_text("n_modes = 1\nc = 0\nd = 1\nterm = 2, 1, 1, 1.0\n")
     with pytest.raises(ConfigError, match="index out of range"):
         build_system(RunConfig(system=f"custom:{sysfile}"))
+
+
+SYSTEM_HEAD = "n_modes = 2\nc = 0, 0\nd = -0.25, 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (SYSTEM_HEAD + "term = 1, 1, 1\n", 4, "term needs 4 comma-separated entries"),
+        (SYSTEM_HEAD + "speed = 1\n", 4, "unknown key 'speed'"),
+        (SYSTEM_HEAD.replace("2", "two", 1), 1, "invalid literal for int()"),
+        ("n_modes = 2\nc = 0, 0\n", None, "custom system needs n_modes, c and d"),
+        (SYSTEM_HEAD.replace("0, 0", "0, zero"), 2, "could not convert string to float"),
+    ],
+    ids=["short_term", "unknown_key", "n_modes_not_int", "no_d", "c_not_float"],
+)
+def test_custom_system_file_line_faults(tmp_path, text, line, message):
+    sysfile = tmp_path / "bad.sys"
+    sysfile.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        build_system(RunConfig(system=f"custom:{sysfile}"))
+    assert str(info.value).startswith(str(sysfile))
+    assert message in str(info.value)
+    assert (info.value.field, info.value.line) == ("system", line)
+    if line is not None:
+        assert f"line {line}: " in str(info.value)
 
 
 # ------------------------------------------------------------- experiments
