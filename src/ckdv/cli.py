@@ -33,9 +33,9 @@ def _report_summary(report: RunReport) -> int:
         print(f"blow-up at step {report.blow_up_step}")
     print(f"tau = {report.plan.tau:.6g} ({report.plan.rule}, safety {report.plan.safety:g})")
     print(f"{len(report.snapshots)} snapshots in {report.output_dir}")
-    if report.trace.max_percent_error:
-        worst = max(report.trace.max_percent_error[0])
-        print(f"max percent error, mode 1: {worst:.4g}%")
+    errors = report.trace.columns.get("max_pct_err_1")
+    if errors:
+        print(f"max percent error, mode 1: {max(errors):.4g}%")
     return 0 if report.outcome == "completed" else 2
 
 

@@ -79,17 +79,13 @@ def count_peaks(field_values: Sequence[float], threshold: float) -> int:
 class DiagnosticTrace:
     """Time series of run diagnostics, one record per sampled instant.
 
-    ``l2_norms`` and ``mass`` are indexed [mode][record]. ``hs_invariant``
-    stays empty for systems that are not two-mode; ``max_percent_error``
-    stays empty when no oracle is attached. All populated sequences share
-    the length of ``times``.
+    ``columns`` maps each ``trace.csv`` header name, in file order, to its
+    series: ``t``, then ``l2_<n>`` and ``mass_<n>`` for every mode, ``Q``
+    for two-mode states and ``max_pct_err_<n>`` when an oracle is
+    attached. All series share one length.
     """
 
-    times: list[float] = field(default_factory=list)
-    l2_norms: list[list[float]] = field(default_factory=list)
-    mass: list[list[float]] = field(default_factory=list)
-    hs_invariant: list[float] = field(default_factory=list)
-    max_percent_error: list[list[float]] = field(default_factory=list)
+    columns: dict[str, list[float]] = field(default_factory=dict)
 
     def record(
         self,
@@ -99,22 +95,17 @@ class DiagnosticTrace:
         amplitude: float | None = None,
     ) -> None:
         n = state.n_modes
-        if not self.l2_norms:
-            self.l2_norms = [[] for _ in range(n)]
-            self.mass = [[] for _ in range(n)]
-            if oracle_eval is not None:
-                self.max_percent_error = [[] for _ in range(n)]
-        self.times.append(state.time)
         masses = mode_mass(state, h)
-        for mode in range(n):
-            self.l2_norms[mode].append(l2_norm(state.values[mode], h))
-            self.mass[mode].append(float(masses[mode]))
+        row = {"t": state.time}
+        row.update((f"l2_{k + 1}", l2_norm(state.values[k], h)) for k in range(n))
+        row.update((f"mass_{k + 1}", float(masses[k])) for k in range(n))
         if n == 2:
-            self.hs_invariant.append(hs_invariant(state, h))
+            row["Q"] = hs_invariant(state, h)
         if oracle_eval is not None:
             errs = percent_error(state, oracle_eval, amplitude)
-            for mode in range(n):
-                self.max_percent_error[mode].append(float(errs[mode]))
+            row.update((f"max_pct_err_{k + 1}", float(errs[k])) for k in range(n))
+        for name, value in row.items():
+            self.columns.setdefault(name, []).append(value)
 
 
 @dataclass(frozen=True)

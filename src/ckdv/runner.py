@@ -28,7 +28,7 @@ from .analytic import (
     soliton_evaluator,
 )
 from .diagnostics import ConvergenceReport, DiagnosticTrace, l2_norm, observed_orders
-from .errors import BlowUpError, ConfigError, require_positive
+from .errors import BlowUpError, ConfigError
 from .model import (
     FieldSet,
     Grid,
@@ -187,9 +187,6 @@ def build_initial_condition(config: RunConfig) -> SolitonParams | StretchedSolit
         elif config.ic_kind != IC_SOLITON:
             msg = f"kind must be one of {IC_KINDS}, got {config.ic_kind!r}"
             raise ConfigError(msg, field="ic_kind")
-    # a config rule for every kind, though only the stretched data reads them
-    require_positive("width_scale", config.width_scale)
-    require_positive("amp_scale", config.amp_scale)
     return ic
 
 
@@ -341,19 +338,9 @@ def _write_snapshot(path: Path, x: list[str], state: FieldSet) -> None:
 
 
 def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
-    n = len(trace.l2_norms)
-    header = ["t"]
-    header += [f"l2_{k + 1}" for k in range(n)]
-    header += [f"mass_{k + 1}" for k in range(n)]
-    columns = [trace.times, *trace.l2_norms, *trace.mass]
-    if trace.hs_invariant:
-        header.append("Q")
-        columns.append(trace.hs_invariant)
-    if trace.max_percent_error:
-        header += [f"max_pct_err_{k + 1}" for k in range(n)]
-        columns += trace.max_percent_error
+    columns = trace.columns
     row_template = ",".join(["%.17g"] * len(columns)) + "\n"
-    _write_csv(path, header, row_template, zip(*columns))
+    _write_csv(path, list(columns), row_template, zip(*columns.values()))
 
 
 def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> None:

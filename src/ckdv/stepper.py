@@ -21,7 +21,9 @@ The scheme is conditionally stable: tau must shrink faster than h. The
 step-size advisor offers the strict sixth-power bound
 tau = safety * h^6 / (9 e_max^2 t_end) and the practical dispersive limit
 tau = safety * h^3 / (3 e_max); the latter is what makes desk-scale runs
-tractable and is validated empirically by the stability tests.
+tractable. It is no stability bound: each step grows the fastest grid mode
+(R eigenvalue i*omega) by sqrt(1 + (tau*omega)^4 / 4) > 1 at every tau, about
+e^13 over fig3's 48,000 steps, so it holds for the presets but not under refinement.
 """
 
 from __future__ import annotations
@@ -234,9 +236,9 @@ def advise_tau(
     """Pick a stable time step for the given grid spacing and run length.
 
     ``paper_strict`` solves the conservative bound
-    ``tau * (3 e_max / h^3)^2 * t_end = safety``; ``dispersive_cfl`` is the
-    practical explicit-scheme limit ``tau = safety * h^3 / (3 e_max)``
-    (default safety 0.25); ``manual`` passes the caller's ``tau`` through.
+    ``tau * (3 e_max / h^3)^2 * t_end = safety``; ``dispersive_cfl`` is
+    ``tau = safety * h^3 / (3 e_max)`` (default safety 0.25), stable only for
+    bounded step counts (module docstring); ``manual`` passes ``tau`` through.
     Non-manual rules reject pure-advection systems (e_max = 0). A given
     ``tau``, like the one a rule computes, must be finite and positive.
     """

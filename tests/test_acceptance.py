@@ -59,7 +59,7 @@ def preset_runs(tmp_path_factory):
 
 
 def test_criterion_1_soliton_accuracy(soliton_run):
-    worst = max(soliton_run.trace.max_percent_error[0])
+    worst = max(soliton_run.trace.columns["max_pct_err_1"])
     _gate(
         "criterion 1 (soliton accuracy)",
         soliton_run.outcome == "completed" and worst <= 2.0,
@@ -75,9 +75,9 @@ def test_criterion_2_convergence_order():
 
 
 def test_criterion_3_exact_mode1_mass(soliton_run):
-    mass1 = np.asarray(soliton_run.trace.mass[0])
+    mass1 = np.asarray(soliton_run.trace.columns["mass_1"])
     drift1 = np.max(np.abs(mass1 - mass1[0])) / abs(mass1[0])
-    mass2 = np.asarray(soliton_run.trace.mass[1])
+    mass2 = np.asarray(soliton_run.trace.columns["mass_2"])
     drift2 = np.max(np.abs(mass2 - mass2[0])) / abs(mass2[0])
     _gate(
         "criterion 3 (exact mode-1 mass)",
@@ -87,7 +87,7 @@ def test_criterion_3_exact_mode1_mass(soliton_run):
 
 
 def test_criterion_4_hs_invariant(soliton_run):
-    q = np.asarray(soliton_run.trace.hs_invariant)
+    q = np.asarray(soliton_run.trace.columns["Q"])
     q_exact = -4.0 / 3.0
     initial_dev = abs(q[0] - q_exact) / abs(q_exact)
     drift = abs(q[-1] - q[0]) / abs(q[0])
@@ -183,7 +183,7 @@ def test_secondary_larger_amplitude_accuracy(tmp_path_factory):
     # same check as criterion 1 at initial amplitude 2 m^2 = 3.4
     out = tmp_path_factory.mktemp("a34")
     report = _run_soliton_config(out, m=math.sqrt(1.7))
-    worst = max(report.trace.max_percent_error[0])
+    worst = max(report.trace.columns["max_pct_err_1"])
     _gate(
         "secondary (A=3.4 accuracy)",
         report.outcome == "completed" and worst <= 6.0,

@@ -174,12 +174,22 @@ def test_trace_records_consistent_lengths():
     trace = DiagnosticTrace()
     trace.record(state, grid.h, evaluate, 2.0)
     trace.record(FieldSet(state.values, 0.1), grid.h, evaluate, 2.0)
-    assert len(trace.times) == 2
-    assert len(trace.l2_norms) == 2 and len(trace.l2_norms[0]) == 2
-    assert len(trace.mass[0]) == 2
-    assert len(trace.hs_invariant) == 2
-    assert len(trace.max_percent_error[0]) == 2
-    assert trace.mass[0][0] == pytest.approx(float(mode_mass(state, grid.h)[0]))
+    assert list(trace.columns) == [
+        "t", "l2_1", "l2_2", "mass_1", "mass_2", "Q", "max_pct_err_1", "max_pct_err_2"
+    ]
+    assert all(len(series) == 2 for series in trace.columns.values())
+    assert trace.columns["mass_1"][0] == pytest.approx(float(mode_mass(state, grid.h)[0]))
+
+
+def test_trace_records_three_modes_without_q():
+    values = np.arange(30.0).reshape(3, 10)
+    trace = DiagnosticTrace()
+    trace.record(FieldSet(values, 0.5), 0.1)
+    assert list(trace.columns) == ["t", "l2_1", "l2_2", "l2_3", "mass_1", "mass_2", "mass_3"]
+    assert trace.columns["t"] == [0.5]
+    for k in range(3):
+        assert trace.columns[f"l2_{k + 1}"] == [l2_norm(values[k], 0.1)]
+        assert trace.columns[f"mass_{k + 1}"] == [float(np.sum(values[k]) * 0.1)]
 
 
 # ------------------------------------------------------------ convergence

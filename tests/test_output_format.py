@@ -84,11 +84,16 @@ def test_snapshot_golden_bytes_three_modes(tmp_path):
 
 def test_trace_golden_bytes_two_modes_with_q_and_errors(tmp_path):
     trace = DiagnosticTrace(
-        times=[0.0, 0.1, 1e22],
-        l2_norms=[[1 / 3, -0.0, float("inf")], [0.1, 5e-324, 0.0]],
-        mass=[[-0.0, 0.0, float("nan")], [1e22, 1 / 3, 0.1]],
-        hs_invariant=[float("-inf"), 0.1, -0.0],
-        max_percent_error=[[0.0, float("nan"), 5e-324], [1 / 3, 1e22, float("inf")]],
+        columns={
+            "t": [0.0, 0.1, 1e22],
+            "l2_1": [1 / 3, -0.0, float("inf")],
+            "l2_2": [0.1, 5e-324, 0.0],
+            "mass_1": [-0.0, 0.0, float("nan")],
+            "mass_2": [1e22, 1 / 3, 0.1],
+            "Q": [float("-inf"), 0.1, -0.0],
+            "max_pct_err_1": [0.0, float("nan"), 5e-324],
+            "max_pct_err_2": [1 / 3, 1e22, float("inf")],
+        }
     )
     assert write_trace(tmp_path, trace) == (
         b"t,l2_1,l2_2,mass_1,mass_2,Q,max_pct_err_1,max_pct_err_2\n"
@@ -101,9 +106,7 @@ def test_trace_golden_bytes_two_modes_with_q_and_errors(tmp_path):
 
 def test_trace_golden_bytes_one_mode_without_q_or_errors(tmp_path):
     trace = DiagnosticTrace(
-        times=[0.0, 1 / 3],
-        l2_norms=[[float("nan"), 5e-324]],
-        mass=[[-0.0, float("-inf")]],
+        columns={"t": [0.0, 1 / 3], "l2_1": [float("nan"), 5e-324], "mass_1": [-0.0, float("-inf")]}
     )
     assert write_trace(tmp_path, trace) == (
         b"t,l2_1,mass_1\n"
@@ -138,21 +141,13 @@ def test_trace_bytes_match_csv_transcription(tmp_path_factory, data):
     def series():
         return data.draw(st.lists(floats, min_size=n_records, max_size=n_records))
 
-    trace = DiagnosticTrace(
-        times=series(),
-        l2_norms=[series() for _ in range(n_modes)],
-        mass=[series() for _ in range(n_modes)],
-    )
     header = ["t"] + [f"l2_{k + 1}" for k in range(n_modes)] + [f"mass_{k + 1}" for k in range(n_modes)]
-    columns = [trace.times, *trace.l2_norms, *trace.mass]
     if n_modes == 2 and data.draw(st.booleans()):
-        trace.hs_invariant = series()
         header.append("Q")
-        columns.append(trace.hs_invariant)
     if data.draw(st.booleans()):
-        trace.max_percent_error = [series() for _ in range(n_modes)]
         header += [f"max_pct_err_{k + 1}" for k in range(n_modes)]
-        columns += trace.max_percent_error
+    columns = [series() for _ in header]
+    trace = DiagnosticTrace(columns=dict(zip(header, columns)))
     expected = transcribe(header, zip(*columns))
     assert write_trace(tmp_path_factory.mktemp("trace"), trace) == expected
 

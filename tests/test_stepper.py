@@ -79,6 +79,12 @@ def test_half_step_flags_nonfinite_output():
 # ---------------------------------------------------------------- advance
 
 
+def test_advance_rejects_zero_steps():
+    grid = Grid(0.0, 0.2, 16, 1e-3)
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        advance(FieldSet(np.zeros((2, 16)), 0.0), HS, grid, 0)
+
+
 def test_advance_zero_state_many_steps():
     grid = Grid(0.0, 0.2, 16, 1e-3)
     out = advance(FieldSet(np.zeros((2, 16)), 0.0), HS, grid, 1000)
