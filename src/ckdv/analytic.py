@@ -42,7 +42,7 @@ class SolitonParams:
                 f"soliton parameter m = {self.m:g} must be nonzero with m^2 > 0 and m^3 finite",
                 field="m",
             )
-        if abs(self.d) >= 1:
+        if not abs(self.d) < 1:  # unlike abs(d) >= 1, also true for d = nan
             raise ConfigError("|d| must be < 1 (pole regime rejected)", field="d")
 
     @property
@@ -82,10 +82,13 @@ class TrianglePulse:
     center: float = 0.0
 
     def __post_init__(self):
+        for name in ("amplitude", "center"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"triangle {name} must be finite, got {value}", field=name)
         if self.amplitude == 0:
             raise ConfigError("triangle amplitude must be nonzero", field="amplitude")
-        if self.half_width <= 0:
-            raise ConfigError("triangle half_width must be positive", field="half_width")
+        require_positive("half_width", self.half_width)
 
     @property
     def width(self) -> float:

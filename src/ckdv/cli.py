@@ -73,7 +73,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 def _cmd_presets(_: argparse.Namespace) -> int:
     for preset in list_presets():
-        tags = [preset.kind]
+        tags = ["oracle" if preset.config is None else "simulation"]
         if preset.oracle:
             tags.append("percent-error trace")
         print(f"{preset.name:8s} [{', '.join(tags)}] {preset.description}")

@@ -89,9 +89,10 @@ CONFIG_KEYS = _FLOAT_KEYS + tuple(f.name for f in dataclasses.fields(RunConfig) 
 @dataclass
 class RunReport:
     """One run: snapshot files on disk, the diagnostics trace, and the step
-    that blew up (``None`` if the run completed)."""
+    that blew up (``None`` if the run completed). Snapshot ``i`` is at
+    ``trace.columns["t"][i]``."""
 
-    snapshots: list[tuple[float, Path]]
+    snapshots: list[Path]
     trace: DiagnosticTrace
     blow_up_step: int | None
     plan: StepPlan
@@ -208,7 +209,8 @@ def _resolve(config: RunConfig):
     config key. Checked here, as no constructor owns them: finite numbers,
     the snapshot interval (filled into ``config``), an initial profile
     narrower than ``h``, a system with more modes than the initial data
-    fills, initial data that is zero at every node and the edge warning.
+    fills, initial data that is zero at every node or not finite at some
+    node, and the edge warning.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
@@ -249,6 +251,8 @@ def _resolve(config: RunConfig):
     if not state0.values.any():
         msg = "the initial data samples to zero at every node; the domain misses it"
         raise ConfigError(msg, field="x_min")
+    if not np.isfinite(state0.values).all():
+        raise ConfigError("the initial data overflows at some node", field="ic_kind")
     edges = np.maximum(np.abs(state0.values[:, 0]), np.abs(state0.values[:, -1])).tolist()
     peaks = np.abs(state0.values).max(axis=1).tolist()
     if any(e > EDGE_RATIO * p for e, p in zip(edges, peaks)):
@@ -358,7 +362,7 @@ def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> No
     ]
     if report.blow_up_step is not None:
         rows.append(("run", "blow_up_step", report.blow_up_step))
-    rows += [("snapshot", i, snap_path.name) for i, (_, snap_path) in enumerate(report.snapshots)]
+    rows += [("snapshot", i, snap_path.name) for i, snap_path in enumerate(report.snapshots)]
     _write_csv(path, ["kind", "key", "value"], "%s,%s,%s\n", rows)
 
 
@@ -410,7 +414,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         idx = len(snapshots)
         snap_path = out_dir / f"snap_{idx:04d}_t{state.time:.6f}.csv"
         _write_snapshot(snap_path, x_column, state)
-        snapshots.append((state.time, snap_path))
+        snapshots.append(snap_path)
         trace.record(state, grid.h, oracle, amplitude)
 
     emit(state0)
@@ -471,11 +475,6 @@ class Preset:
     config: RunConfig | None
 
     @property
-    def kind(self) -> str:
-        """``oracle`` for closed-form profiles only, else ``simulation``."""
-        return "oracle" if self.config is None else "simulation"
-
-    @property
     def oracle(self) -> bool:
         """Whether percent-error columns appear in the trace."""
         return self.config is not None and _has_oracle(self.config)
@@ -489,7 +488,7 @@ def list_presets() -> tuple[Preset, ...]:
         Preset(
             "fig3",
             "soliton accuracy run m=1 d=0 to t=1 with percent-error trace",
-            RunConfig(t_end=1.0, snapshot_every=0.1, output_dir="ckdv_out/fig3"),
+            RunConfig(t_end=1.0, snapshot_every=0.1),
         ),
         Preset(
             "fig4a",
@@ -500,7 +499,6 @@ def list_presets() -> tuple[Preset, ...]:
                 ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
                 x_min=-150.0, x_max=60.0, h=0.1,
                 t_end=3.0, snapshot_every=0.5,
-                output_dir="ckdv_out/fig4a",
             ),
         ),
         Preset(
@@ -511,7 +509,6 @@ def list_presets() -> tuple[Preset, ...]:
                 ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
                 x_min=-150.0, x_max=60.0, h=0.1,
                 t_end=3.0, snapshot_every=0.5,
-                output_dir="ckdv_out/fig4b",
             ),
         ),
         Preset(
@@ -520,7 +517,6 @@ def list_presets() -> tuple[Preset, ...]:
             RunConfig(
                 system=SYSTEM_PERTURBED, d1=-0.2,
                 t_end=0.5, snapshot_every=0.05,
-                output_dir="ckdv_out/fig5",
             ),
         ),
         Preset(
@@ -529,7 +525,6 @@ def list_presets() -> tuple[Preset, ...]:
             RunConfig(
                 ic_kind=IC_TRIANGLE, amplitude=1.0, half_width=2.0, center=0.0,
                 t_end=0.5, snapshot_every=0.05,
-                output_dir="ckdv_out/fig6",
             ),
         ),
     )
@@ -542,14 +537,14 @@ def get_preset(name: str) -> Preset:
     raise ConfigError(f"unknown preset '{name}'")
 
 
-def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
+def _write_oracle_profiles(name: str, out_dir: Path) -> list[Path]:
     sweeps = {
         "fig1": [(m, 0.0) for m in (0.5, 1.0, 1.5)],
         "fig2": [(1.0, d) for d in (0.0, 0.5)],
     }
     _make_output_dir(out_dir)
     paths = []
-    for m, d in sweeps[preset.name]:
+    for m, d in sweeps[name]:
         # the initial sample of the default run with this (m, d)
         *_, grid, state0, _ = _resolve(RunConfig(m=m, d=d))
         path = out_dir / f"oracle_m{m:g}_d{d:g}.csv"
@@ -559,12 +554,10 @@ def _write_oracle_profiles(preset: Preset, out_dir: Path) -> list[Path]:
 
 
 def run_preset(name: str, out_dir: str | Path | None = None):
-    """Run a preset; returns a RunReport, or the written paths for oracle presets."""
-    preset = get_preset(name)
-    if preset.kind == "oracle":
-        target = Path(out_dir) if out_dir is not None else Path("ckdv_out") / name
-        return _write_oracle_profiles(preset, target)
-    config = preset.config
-    if out_dir is not None:
-        config = dataclasses.replace(config, output_dir=str(out_dir))
-    return run_experiment(config)
+    """Run a preset into ``out_dir``, by default ``ckdv_out/<name>``; returns a
+    RunReport, or the written paths for oracle presets."""
+    config = get_preset(name).config
+    out_dir = Path("ckdv_out") / name if out_dir is None else Path(out_dir)
+    if config is None:
+        return _write_oracle_profiles(name, out_dir)
+    return run_experiment(dataclasses.replace(config, output_dir=str(out_dir)))

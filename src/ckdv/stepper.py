@@ -145,6 +145,8 @@ class _Kernel:
         self.layers[0].values[...] = start
         self.layers[0].wrap()
         initial_max = float(np.max(np.abs(start)))
+        if not math.isfinite(initial_max):
+            raise ValueError("the starting state is not finite")
         self.limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else math.inf
         # A computed sum of squares s <= limit^2 / 4 proves max < limit: the
         # exact sum S of the k = n*w squares is at least max^2, and in any
@@ -207,6 +209,7 @@ def advance(
     checked: a layer that goes non-finite, or whose max-norm exceeds 1e6
     times that of ``state``, raises :class:`BlowUpError` carrying the step
     index. A sum-of-squares screen clears most layers without the max-norm.
+    A ``state`` of the wrong shape or with non-finite entries is a :class:`ValueError`.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -117,7 +117,7 @@ def test_criterion_5_conditional_stability(soliton_run):
 
 
 def test_criterion_6_crest_transport(soliton_run):
-    _, final_path = soliton_run.snapshots[-1]
+    final_path = soliton_run.snapshots[-1]
     x, values = _read_snapshot(final_path)
     crest = x[int(np.argmax(values[0]))]
     _gate(
@@ -129,7 +129,7 @@ def test_criterion_6_crest_transport(soliton_run):
 
 def test_criterion_7_multi_soliton_decay(preset_runs):
     report = preset_runs["fig4b"]
-    _, final_path = report.snapshots[-1]
+    final_path = report.snapshots[-1]
     _, values = _read_snapshot(final_path)
     th1 = values[0]
     peaks = count_peaks(th1, 0.1 * float(np.max(th1)))
@@ -145,15 +145,15 @@ def test_criterion_8_robustness_presets(preset_runs):
     ok = True
     for name in ("fig5", "fig6"):
         report = preset_runs[name]
-        _, first = report.snapshots[0]
-        _, last = report.snapshots[-1]
+        first = report.snapshots[0]
+        last = report.snapshots[-1]
         initial_max = float(np.max(np.abs(_read_snapshot(first)[1])))
         final_max = float(np.max(np.abs(_read_snapshot(last)[1])))
         bounded = report.outcome == "completed" and final_max <= 10.0 * initial_max
         ok = ok and bounded
         details.append(f"{name}: outcome={report.outcome}, max-norm ratio {final_max / initial_max:.3f}")
     # the perturbed run keeps a single soliton-like crest at small time
-    x, values = _read_snapshot(preset_runs["fig5"].snapshots[1][1])
+    x, values = _read_snapshot(preset_runs["fig5"].snapshots[1])
     th1 = values[0]
     crest = x[int(np.argmax(th1))]
     soliton_like = (

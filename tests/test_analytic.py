@@ -155,6 +155,24 @@ def test_initial_condition_validation():
         TrianglePulse(1.0, -2.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: SolitonParams(v, 0.0), "m"),
+        (lambda v: SolitonParams(1.0, v), "d"),
+        (lambda v: TrianglePulse(v, 2.0), "amplitude"),
+        (lambda v: TrianglePulse(1.0, v), "half_width"),
+        (lambda v: TrianglePulse(1.0, 2.0, v), "center"),
+    ],
+    ids=["m", "d", "amplitude", "half_width", "center"],
+)
+def test_initial_data_rejects_non_finite_parameters(build, field, value):
+    with pytest.raises(ConfigError) as info:
+        build(value)
+    assert info.value.field == field
+
+
 def test_soliton_evaluator_matches_direct_call():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     p = SolitonParams(0.8, 0.2)

@@ -140,6 +140,8 @@ STRINGS = {
 @example(small={"h": 0.1, "t_end": 0.1, "tau": 0.01}, wild={}, strings={"tau_rule": "manual"})
 # a triangle the domain misses: exit 1
 @example(small={"center": 1000.0}, wild={}, strings={"ic_kind": "triangle_pulse"})
+# finite numbers whose sampled peak, 2 * amp_scale, overflows: exit 1, not a blow-up
+@example(small={"h": 0.5, "t_end": 0.001}, wild={"amp_scale": 1e308}, strings={"ic_kind": "stretched_soliton"})
 def test_run_exits_1_exactly_when_validate_config_rejects(custom_systems, small, wild, strings):
     if isinstance(strings.get("system"), int):
         strings["system"] = custom_systems[strings["system"]]

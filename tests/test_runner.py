@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +164,7 @@ def test_validate_config_faults_name_fields(tmp_path):
         (dict(m=0.0), "m"),
         (dict(d=1.5), "d"),
         (dict(ic_kind="stretched_soliton", width_scale=-1.0), "width_scale"),
+        (dict(ic_kind="stretched_soliton", amp_scale=1e308), "ic_kind"),
         (dict(ic_kind="triangle_pulse", amplitude=0.0), "amplitude"),
         (dict(ic_kind="triangle_pulse", half_width=0.0), "half_width"),
         (dict(system="unknown_system"), "system"),
@@ -271,15 +273,15 @@ def test_run_experiment_artifacts(tmp_path):
     assert report.outcome == "completed"
     assert report.blow_up_step is None
     # snapshots: t=0, 0.025, 0.05, strictly increasing
-    times = [t for t, _ in report.snapshots]
+    times = report.trace.columns["t"]
     assert times[0] == 0.0
     assert all(b > a for a, b in zip(times, times[1:]))
-    assert len(times) == 3
-    for _, path in report.snapshots:
+    assert len(times) == len(report.snapshots) == 3
+    for path in report.snapshots:
         assert path.exists()
         header = path.read_text().splitlines()[0]
         assert header == "x,theta_1,theta_2"
-    assert report.snapshots[0][1].name == "snap_0000_t0.000000.csv"
+    assert report.snapshots[0].name == "snap_0000_t0.000000.csv"
     assert (report.output_dir / "trace.csv").exists()
     assert (report.output_dir / "report.csv").exists()
 
@@ -303,13 +305,13 @@ def test_run_experiment_single_mode_trace(tmp_path):
     )
     header = (report.output_dir / "trace.csv").read_text().splitlines()[0]
     assert header == "t,l2_1,mass_1"
-    snap_header = report.snapshots[0][1].read_text().splitlines()[0]
+    snap_header = report.snapshots[0].read_text().splitlines()[0]
     assert snap_header == "x,theta_1"
 
 
 def test_run_experiment_17_digit_serialization(tmp_path):
     report = run_experiment(quick_config(tmp_path))
-    _, path = report.snapshots[-1]
+    path = report.snapshots[-1]
     rows = path.read_text().splitlines()
     x0, th1, _ = rows[1].split(",")
     assert float(x0) == -20.0
@@ -322,7 +324,7 @@ def test_run_experiment_17_digit_serialization(tmp_path):
 def test_run_experiment_deterministic_output(tmp_path):
     r1 = run_experiment(quick_config(tmp_path, output_dir=str(tmp_path / "a")))
     r2 = run_experiment(quick_config(tmp_path, output_dir=str(tmp_path / "b")))
-    for (_, p1), (_, p2) in zip(r1.snapshots, r2.snapshots):
+    for p1, p2 in zip(r1.snapshots, r2.snapshots):
         assert p1.read_bytes() == p2.read_bytes()
     assert (r1.output_dir / "trace.csv").read_bytes() == (r2.output_dir / "trace.csv").read_bytes()
 
@@ -340,7 +342,7 @@ def test_run_experiment_blow_up_preserves_partial_outputs(tmp_path):
     assert report.outcome == "blew_up"
     assert report.blow_up_step is not None
     assert len(report.snapshots) >= 1
-    for _, path in report.snapshots:
+    for path in report.snapshots:
         assert path.exists()
     report_text = (report.output_dir / "report.csv").read_text()
     assert "blew_up" in report_text
@@ -463,6 +465,19 @@ def test_oracle_presets_write_profiles(tmp_path):
     assert x[np.argmax(th1)] == pytest.approx(0.0, abs=0.05)
     paths2 = run_preset("fig2", tmp_path / "fig2")
     assert [p.name for p in paths2] == ["oracle_m1_d0.csv", "oracle_m1_d0.5.csv"]
+
+
+def test_presets_write_into_ckdv_out_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert Path("ckdv_out/fig1/oracle_m1_d0.csv") in run_preset("fig1")
+    assert Path("ckdv_out/fig1/oracle_m1_d0.csv").is_file()
+    report = run_preset("fig4a")
+    assert report.output_dir == Path("ckdv_out/fig4a")
+    assert Path("ckdv_out/fig4a/report.csv").is_file()
+    times = report.trace.columns["t"]
+    assert len(times) == len(report.snapshots)
+    for t, path in zip(times, report.snapshots):
+        assert path.parent == report.output_dir and path.name.endswith(f"_t{t:.6f}.csv")
 
 
 def test_unknown_preset():

@@ -85,6 +85,16 @@ def test_advance_rejects_zero_steps():
         advance(FieldSet(np.zeros((2, 16)), 0.0), HS, grid, 0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_advance_rejects_a_non_finite_start(value):
+    # an input fault, not a blow-up at step 1
+    grid = Grid(0.0, 0.2, 16, 1e-3)
+    start = np.zeros((2, 16))
+    start[1, 7] = value
+    with pytest.raises(ValueError, match="starting state is not finite"):
+        advance(FieldSet(start, 0.0), HS, grid, 1)
+
+
 def test_advance_zero_state_many_steps():
     grid = Grid(0.0, 0.2, 16, 1e-3)
     out = advance(FieldSet(np.zeros((2, 16)), 0.0), HS, grid, 1000)
