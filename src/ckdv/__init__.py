@@ -32,7 +32,6 @@ from .analytic import (
     hs_soliton,
     sample_initial,
     soliton_evaluator,
-    verify_residual,
 )
 from .diagnostics import (
     ConvergenceReport,
@@ -41,7 +40,6 @@ from .diagnostics import (
     hs_invariant,
     l2_norm,
     mode_mass,
-    observed_orders,
     percent_error,
 )
 from .runner import (
@@ -85,7 +83,6 @@ __all__ = [
     "hs_soliton",
     "sample_initial",
     "soliton_evaluator",
-    "verify_residual",
     "ConvergenceReport",
     "DiagnosticTrace",
     "convergence_study",
@@ -93,7 +90,6 @@ __all__ = [
     "hs_invariant",
     "l2_norm",
     "mode_mass",
-    "observed_orders",
     "percent_error",
     "Preset",
     "RunConfig",

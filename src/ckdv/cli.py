@@ -6,7 +6,7 @@
     ckdv advise --config <path>    (the plan and grid ``run`` uses; same faults)
     ckdv presets
 
-Exit status: 0 on success, 1 on config faults, 2 when a run blows up.
+Exit status: 0 on success, 1 on usage errors and config faults, 2 when a run blows up.
 """
 
 from __future__ import annotations
@@ -109,7 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed usage (code 2) or help (code 0)
+        return 1 if exc.code else 0
     # a warning prints as one line, like an error, not as a package source line
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"

@@ -112,19 +112,15 @@ class DiagnosticTrace:
 class ConvergenceReport:
     """Errors against the oracle across a sequence of halved grid spacings."""
 
-    h_values: tuple[float, ...]
-    errors: tuple[float, ...]          # max-norm over all modes and nodes
-    l2_errors: tuple[float, ...]       # vector L2 norm over all modes
-    observed_orders: tuple[float, ...]  # log2(E_k / E_{k+1})
+    h_coarsest: float
+    errors: tuple[float, ...]     # max-norm over all modes and nodes, one per level
+    l2_errors: tuple[float, ...]  # vector L2 norm over all modes
 
-    def __post_init__(self):
-        for a, b in zip(self.h_values, self.h_values[1:]):
-            if not math.isclose(b, a / 2.0, rel_tol=1e-12):
-                raise ValueError("h_values must decrease by exact factors of 2")
+    @property
+    def h_values(self) -> tuple[float, ...]:
+        return tuple(self.h_coarsest / 2**k for k in range(len(self.errors)))
 
-
-def observed_orders(errors: Sequence[float]) -> tuple[float, ...]:
-    """Empirical orders log2(E_k / E_{k+1}) from successive halvings."""
-    if any(e <= 0 for e in errors):
-        raise ValueError("zero error ratio undefined")
-    return tuple(math.log2(errors[k] / errors[k + 1]) for k in range(len(errors) - 1))
+    @property
+    def observed_orders(self) -> tuple[float, ...]:
+        """Empirical orders log2(E_k / E_{k+1}) from successive halvings."""
+        return tuple(math.log2(a / b) for a, b in zip(self.errors, self.errors[1:]))

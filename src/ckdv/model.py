@@ -130,10 +130,6 @@ class Grid:
             raise ConfigError(f"span {x_max - x_min:g} is not a multiple of h = {h:g}", field="h")
         return cls(x_min, h, m_points, tau)
 
-    @property
-    def x_max(self) -> float:
-        return self.x_min + self.m_points * self.h
-
     def nodes(self) -> np.ndarray:
         return self.x_min + self.h * np.arange(self.m_points)
 

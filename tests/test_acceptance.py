@@ -12,12 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from ckdv.analytic import SolitonParams, sample_initial, verify_residual
+from ckdv.analytic import SolitonParams, sample_initial
 from ckdv.diagnostics import count_peaks
 from ckdv.errors import BlowUpError
 from ckdv.model import Grid, make_hirota_satsuma
 from ckdv.runner import RunConfig, convergence_study, get_preset, run_experiment
 from ckdv.stepper import advance, advise_tau
+from residual import verify_residual
 
 HS = make_hirota_satsuma()
 

@@ -8,11 +8,11 @@ from ckdv.analytic import (
     hs_soliton,
     sample_initial,
     soliton_evaluator,
-    verify_residual,
 )
 from ckdv.errors import ConfigError
 from ckdv.model import Grid
 from ckdv.runner import RunConfig, build_initial_condition
+from residual import verify_residual
 
 
 def test_soliton_origin_values_d0():

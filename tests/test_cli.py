@@ -8,6 +8,7 @@ import pytest
 
 import ckdv
 import ckdv.cli
+import ckdv.runner
 from ckdv.cli import main
 from ckdv.errors import BlowUpError
 from ckdv.runner import _FLOAT_KEYS
@@ -120,6 +121,28 @@ def test_converge_blow_up_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(ckdv.cli, "convergence_study", blow_up)
     assert main(["converge", "--levels", "4"]) == 2
     assert capsys.readouterr().err == "error: blow-up at step 122252 (t ~ 0.318365)\n"
+
+
+def test_converge_sets_up_every_level_before_stepping(monkeypatch, capsys):
+    # level 8's step count is the fault; stepping level 0 first would take 750,000,000 steps
+    def advance(*args):
+        raise AssertionError("a level was stepped before every level was set up")
+
+    monkeypatch.setattr(ckdv.runner, "advance", advance)
+    assert main(["converge", "--levels", "9", "--t-end", "1e6"]) == 1
+    assert "exceeds 2**53 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["converge", "--levels", "abc"], ["run"]], ids=["abc", "run"])
+def test_usage_errors_exit_1_with_argparse_usage(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ckdv {argv[0]}") and f"ckdv {argv[0]}: error: " in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ckdv")
 
 
 def test_preset_command_oracle(tmp_path, capsys):

@@ -148,7 +148,6 @@ def test_grid_invariants():
 def test_grid_nodes():
     grid = Grid(-1.0, 0.5, 6, 0.1)
     assert np.array_equal(grid.nodes(), [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
-    assert grid.x_max == 2.0
 
 
 def test_fieldset_is_readonly_copy():
