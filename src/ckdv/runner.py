@@ -6,7 +6,8 @@ directory of snapshot CSVs, a diagnostics trace CSV, and a ``report.csv``
 manifest. Identical configs produce bit-identical CSV output. Each run
 (config file, preset, refinement level, oracle profile) is set up once,
 by building the system, step plan, grid, start state and oracle its config
-describes; each constructor owns its rules, and a fault names the key.
+describes; each constructor owns its rules, and a fault names the key. A
+refinement study builds each level's plan and grid once more beforehand.
 """
 
 from __future__ import annotations
@@ -200,18 +201,11 @@ def _has_oracle(config: RunConfig) -> bool:
     return config.system == SYSTEM_HS and config.ic_kind == IC_SOLITON
 
 
-def _resolve(config: RunConfig):
-    """``(config, spec, plan, n_steps, grid, state0, oracle)``, each built once.
-
-    ``state0`` is the sampled initial data, one row per mode of ``spec``;
-    ``oracle`` evaluates the closed-form soliton on the nodes, or is ``None``.
-    The constructors own their rules; their faults are only renamed to the
-    config key. Checked here, as no constructor owns them: finite numbers,
-    the snapshot interval (filled into ``config``), an initial profile
-    narrower than ``h``, a system with more modes than the initial data
-    fills, initial data that is zero at every node or not finite at some
-    node, and the edge warning.
-    """
+def _plan(config: RunConfig):
+    """``(spec, plan, n_steps, grid, ic)``: what :func:`_resolve` builds before
+    it samples anything, so the step and node counts are checked at no cost
+    in memory. Numbers must be finite; the constructors own their rules, and
+    their faults are only renamed to the config key."""
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
         if value is not None and not math.isfinite(value):
@@ -227,7 +221,21 @@ def _resolve(config: RunConfig):
         if exc.field not in _CONFIG_KEY:
             raise
         raise ConfigError(str(exc), field=_CONFIG_KEY[exc.field]) from None
+    return spec, plan, n_steps, grid, ic
 
+
+def _resolve(config: RunConfig):
+    """``(config, spec, plan, n_steps, grid, state0, oracle)``, each built once.
+
+    ``state0`` is the sampled initial data, one row per mode of ``spec``;
+    ``oracle`` evaluates the closed-form soliton on the nodes, or is ``None``.
+    Checked here, after :func:`_plan`, as no constructor owns them: the
+    snapshot interval (filled into ``config``), an initial profile
+    narrower than ``h``, a system with more modes than the initial data
+    fills, initial data that is zero at every node or not finite at some
+    node, and the edge warning.
+    """
+    spec, plan, n_steps, grid, ic = _plan(config)
     snapshot_every = config.snapshot_every
     if snapshot_every is None:
         snapshot_every = config.t_end / 10.0
@@ -447,19 +455,26 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
     """
     if n_levels < 3:
         raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
-    # every level is set up before any steps: a config fault is never hidden by a blow-up
-    levels = [_resolve(RunConfig(h=h_coarsest / 2**k, t_end=t_end)) for k in range(n_levels)]
-    errors: list[float] = []
-    l2_errors: list[float] = []
-    for config, spec, _, n_steps, grid, state0, oracle in levels:
-        final = advance(state0, spec, grid, n_steps)
-        diff = np.abs(oracle(final.time) - final.values)
-        errors.append(float(diff.max()))
-        l2_errors.append(l2_norm(diff, config.h))
+    configs = [RunConfig(h=h_coarsest / 2**k, t_end=t_end) for k in range(n_levels)]
+    # every level's step and node counts are checked before any level samples
+    # or steps: a config fault is never hidden by a blow-up. The levels differ
+    # only in h, and sampling faults a finer level only if the coarsest too.
+    for config in configs:
+        _plan(config)
+    errors, l2_errors = zip(*map(_level_errors, configs))
     if 0.0 in errors:
         msg = f"t_end = {t_end:g} is too short to show any error; no order can be measured"
         raise ConfigError(msg, field="t_end")
-    return ConvergenceReport(h_coarsest, tuple(errors), tuple(l2_errors))
+    return ConvergenceReport(h_coarsest, errors, l2_errors)
+
+
+def _level_errors(config: RunConfig) -> tuple[float, float]:
+    """Max-norm and L2 error of one refinement level against the closed form;
+    its start state and oracle go when it returns."""
+    config, spec, _, n_steps, grid, state0, oracle = _resolve(config)
+    final = advance(state0, spec, grid, n_steps)
+    diff = np.abs(oracle(final.time) - final.values)
+    return float(diff.max()), l2_norm(diff, config.h)
 
 
 @dataclass(frozen=True)

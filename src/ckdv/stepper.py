@@ -14,8 +14,11 @@ where for each mode n
 ``advance`` is the one way to run the scheme. Its kernel keeps two layers,
 each a buffer with two periodic ghost cells per side; the full stage
 overwrites layer j in place, in a fixed operation order that keeps runs
-bit-for-bit reproducible. Per step it copies nothing for the observer and
-clears most layers' blow-up checks by their sum of squares alone.
+bit-for-bit reproducible: R = acc + e_n D3(u_n), with acc the nonzero
+first-derivative terms (couplings in spec order, then c_n D1(u_n)) summed
+onto +0, the bits of (c_n D1 + couplings) + e_n D3 (see ``_Kernel``). Per
+step it copies nothing for the observer and clears most layers' blow-up
+checks by their sum of squares alone.
 
 The scheme is conditionally stable: tau must shrink faster than h. The
 step-size advisor offers the strict sixth-power bound
@@ -110,34 +113,54 @@ class _Kernel:
     Holds two layers (current, intermediate) and every scratch array, so
     ``stage`` and ``check`` allocate nothing. The scratch arrays
     span the layers' flat ``core`` range, so each operation is one
-    contiguous ufunc over all modes; per-mode speeds and dispersions repeat
-    along their rows.
+    contiguous ufunc over all modes; per-mode dispersions repeat along
+    their rows. Scalar operands are prebuilt 0-d arrays and outputs are
+    passed positionally: NumPy converts a Python float, and parses an
+    ``out=`` keyword, on every call.
 
     The operation order is fixed, and changing it changes the output bits:
     D1 = (u+1 - u-1) / 2h, D3 = ((u+2 - 2u+1) + 2u-1 - u-2) / 2h^3, the
-    terms summed in spec order onto a zeroed accumulator (the zero fixes
-    the sign of zero results), then R = c*D1 + acc + e*D3.
+    first-derivative terms g*(u_k*D1_m) in spec order and then c_n*D1_n
+    summed onto a zero accumulator (the zero fixes the sign of zero
+    results), then R = acc + e*D3. Terms with a zero coefficient are left
+    out. This equals (c*D1 + acc) + e*D3 summed over every term bit for
+    bit: addition commutes, an accumulator that starts at +0 is never -0,
+    and so adding a zero term, of either sign, leaves it unchanged. The
+    exception is a zero coefficient on a D1 or u_k*D1_m that overflows,
+    where 0*inf made a NaN and so a blow-up: that needs layer values near
+    1e307*h or 1e154, inside the blow-up limit only for start states within
+    a factor 1e6 of them.
     """
 
     def __init__(self, spec: SystemSpec, grid: Grid, start: np.ndarray):
         n, m = spec.n_modes, grid.m_points
         self.shape = (n, m)
         self.layers = (_Layer(n, m), _Layer(n, m))
-        self.two_h = 2.0 * grid.h
-        self.two_h3 = 2.0 * grid.h**3
+        self.two = np.array(2.0)
+        self.two_h = np.array(2.0 * grid.h)
+        self.two_h3 = np.array(2.0 * grid.h**3)
         w = m + 4
-        self.speeds = np.repeat(np.asarray(spec.linear_speeds, dtype=float), w)[2:-2]
         self.e = np.repeat(effective_dispersion(spec, grid.h), w)[2:-2]
-        # 0-based (n, k, m, coef) term list in spec order
-        self.terms = [(t.n - 1, t.k - 1, t.m - 1, float(t.coef)) for t in spec.nonlinear_terms]
         self.twice = np.empty(n * w)
         self.twice_up1, self.twice_dn1 = self.twice[3:-1], self.twice[1:-3]
         size = self.twice_up1.size
-        self.d1, self.d3, self.acc = np.empty(size), np.empty(size), np.empty(size)
+        self.d1, self.d3, self.acc = np.empty(size), np.empty(size), np.zeros(size)
         # row i's nodes sit at core offsets i*w .. i*w + m - 1
-        self.d1_rows = [self.d1[i * w : i * w + m] for i in range(n)]
-        self.acc_rows = [self.acc[i * w : i * w + m] for i in range(n)]
+        d1_rows = [self.d1[i * w : i * w + m] for i in range(n)]
+        acc_rows = [self.acc[i * w : i * w + m] for i in range(n)]
+        zero_row = np.zeros(m)
         self.term = np.empty(m)
+        # (k, D1_m row, coef, row added to, acc row) per nonzero term: the
+        # couplings in spec order, then the advection terms (k is None).
+        # A row's first term is added to zeros, so no stage clears acc.
+        terms = [(t.k - 1, t.m - 1, t.coef, t.n - 1) for t in spec.nonlinear_terms]
+        terms += [(None, i, c, i) for i, c in enumerate(spec.linear_speeds)]
+        self.terms, started = [], set()
+        for k, mm, coef, row in terms:
+            if coef != 0.0:
+                base = acc_rows[row] if row in started else zero_row
+                started.add(row)
+                self.terms.append((k, d1_rows[mm], np.array(coef), base, acc_rows[row]))
         self.magnitude = np.empty(n * w)
         if start.shape != self.shape:
             raise ValueError(f"state has shape {start.shape}, the run needs {self.shape}")
@@ -167,29 +190,30 @@ class _Kernel:
         if not (amax <= self.limit) or not math.isfinite(amax):
             raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
 
-    def stage(self, base: _Layer, arg: _Layer, dt: float, out: _Layer) -> None:
-        """Set ``out`` to ``base - dt * R(arg)``, ghost cells included.
+    def stage(self, base: _Layer, arg: _Layer, dt: np.ndarray, out: _Layer) -> None:
+        """Set ``out`` to ``base - dt * R(arg)``, ghost cells included; ``dt`` is 0-d.
 
         ``out`` may be ``base``: all of R is built before ``base`` is read."""
-        np.multiply(arg.flat, 2.0, out=self.twice)
-        d1 = np.subtract(arg.up1, arg.dn1, out=self.d1)
-        d1 /= self.two_h
-        d3 = np.subtract(arg.up2, self.twice_up1, out=self.d3)
-        d3 += self.twice_dn1
-        d3 -= arg.dn2
-        d3 /= self.two_h3
-        self.acc.fill(0.0)
-        term = self.term
-        for n, k, mm, coef in self.terms:
-            np.multiply(arg.rows[k], self.d1_rows[mm], out=term)
-            term *= coef
-            self.acc_rows[n] += term
-        # R = c*D1 + acc + e*D3, built in d1 once the terms are done with it
-        rhs = np.multiply(self.speeds, d1, out=d1)
-        rhs += self.acc
-        rhs += np.multiply(self.e, d3, out=d3)
-        rhs *= dt
-        np.subtract(base.core, rhs, out=out.core)
+        np.multiply(arg.flat, self.two, self.twice)
+        d1, d3, term, rows = self.d1, self.d3, self.term, arg.rows
+        np.subtract(arg.up1, arg.dn1, d1)
+        np.divide(d1, self.two_h, d1)
+        np.subtract(arg.up2, self.twice_up1, d3)
+        np.add(d3, self.twice_dn1, d3)
+        np.subtract(d3, arg.dn2, d3)
+        np.divide(d3, self.two_h3, d3)
+        for k, d1_row, coef, base_row, acc_row in self.terms:
+            if k is None:
+                np.multiply(d1_row, coef, term)
+            else:
+                np.multiply(rows[k], d1_row, term)
+                np.multiply(term, coef, term)
+            np.add(base_row, term, acc_row)
+        # R = acc + e*D3, built in d3
+        np.multiply(self.e, d3, d3)
+        np.add(self.acc, d3, d3)
+        np.multiply(d3, dt, d3)
+        np.subtract(base.core, d3, out.core)
         out.wrap()
 
 
@@ -216,12 +240,13 @@ def advance(
     kern = _Kernel(spec, grid, state.values)
     cur, half = kern.layers
     tau = grid.tau
+    half_dt, dt = np.array(0.5 * tau), np.array(tau)
     t0 = state.time
     for j in range(1, n_steps + 1):
         t = t0 + j * tau
-        kern.stage(cur, cur, 0.5 * tau, half)
+        kern.stage(cur, cur, half_dt, half)
         kern.check(half, j, t)
-        kern.stage(cur, half, tau, cur)
+        kern.stage(cur, half, dt, cur)
         kern.check(cur, j, t)
         if observer is not None:
             observer(j, t, cur.view)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdv.analytic import (
     SolitonParams,
@@ -189,6 +191,26 @@ def test_trace_records_three_modes_without_q():
     for k in range(3):
         assert trace.columns[f"l2_{k + 1}"] == [l2_norm(values[k], 0.1)]
         assert trace.columns[f"mass_{k + 1}"] == [float(np.sum(values[k]) * 0.1)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(1, 3),
+    length=st.integers(16, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_trace_sums_all_rows_as_each_row_alone_bitwise(n, length, seed, h):
+    # record reduces every mode in one call; pairwise summation must give
+    # each row the bits it gets when summed alone
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, length)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    values[:, rng.integers(0, length, length // 4)] = -0.0
+    trace = DiagnosticTrace()
+    trace.record(FieldSet(values, 0.0), h)
+    for k in range(n):
+        assert trace.columns[f"l2_{k + 1}"] == [l2_norm(values[k], h)]
+        assert trace.columns[f"mass_{k + 1}"] == [float(np.sum(values[k]) * h)]
 
 
 # ------------------------------------------------------------ convergence

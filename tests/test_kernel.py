@@ -117,18 +117,73 @@ def test_fixture_has_signed_zeros():
     assert np.any((u == 0.0) & ~np.signbit(u))
 
 
-def test_three_mode_advance_matches_roll_transcription_bitwise():
-    u0 = triangles()
+def assert_advance_matches_roll(u0, spec: SystemSpec, grid: Grid, n_steps: int):
+    """Every completed layer, the final state and the blow-up step (or None)
+    of ``advance`` equal those of ``roll_advance`` bit for bit."""
     seen = []
-    final = advance(
-        FieldSet(u0, 0.0), SPEC3, GRID3, 50, lambda j, t, v: seen.append(FieldSet(v, t).values)
-    )
-    expected, blow_up = roll_advance(u0, SPEC3, GRID3, 50)
-    assert blow_up is None
-    assert len(seen) == len(expected) == 50
+    expected, blow_up = roll_advance(u0, spec, grid, n_steps)
+    with np.errstate(all="ignore"):
+        try:
+            final = advance(
+                FieldSet(u0, 0.0), spec, grid, n_steps,
+                lambda j, t, v: seen.append(FieldSet(v, t).values),
+            )
+        except BlowUpError as exc:
+            assert exc.step == blow_up
+        else:
+            assert blow_up is None
+            assert final.values.tobytes() == expected[-1].tobytes()
+    assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
         assert got.tobytes() == want.tobytes()
-    assert final.values.tobytes() == expected[-1].tobytes()
+    return blow_up
+
+
+def test_three_mode_advance_matches_roll_transcription_bitwise():
+    assert assert_advance_matches_roll(triangles(), SPEC3, GRID3, 50) is None
+
+
+def test_hirota_satsuma_advance_matches_roll_transcription_bitwise():
+    # c = 0 on both modes: the kernel leaves out the advection terms that
+    # roll_rhs still adds as 0*D1
+    hs = make_hirota_satsuma()
+    assert hs.linear_speeds == (0.0, 0.0)
+    assert assert_advance_matches_roll(triangles()[:2], hs, GRID3, 50) is None
+
+
+# coefficients with exact zeros of both signs, which the kernel leaves out
+COEFS = st.sampled_from([0.0, -0.0, 0.3, -0.7, 1.1, 1.5, -0.4, 3.0])
+RANDOM_GRID = Grid(-10.0, 0.25, 80, 1e-3)
+
+
+@st.composite
+def random_systems(draw):
+    """A system of 1 to 3 modes and its triangle-pulse start state."""
+    n = draw(st.integers(1, 3))
+    triples = [(i, k, m) for i in range(1, n + 1) for k in range(1, n + 1) for m in range(1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(triples), unique=True, max_size=len(triples)))
+    terms = tuple(NonlinearTerm(i, k, m, draw(COEFS)) for i, k, m in chosen)
+    speeds = draw(st.lists(COEFS, min_size=n, max_size=n))
+    disps = draw(st.lists(st.sampled_from([0.0, -0.25, 0.5, 0.2]), min_size=n, max_size=n))
+    # compact pulses, as in triangles(): exact zeros and, below a negative
+    # amplitude, -0.0 away from each support
+    x = RANDOM_GRID.nodes()
+    amplitudes = st.sampled_from([-1.0, -0.5, 0.7, 1.0])
+    pulses = st.lists(
+        st.tuples(st.floats(-6.0, 6.0), st.floats(0.5, 4.0), amplitudes), min_size=n, max_size=n
+    )
+    rows = [a * np.maximum(0.0, 1.0 - np.abs(x - c) / w) for c, w, a in draw(pulses)]
+    return SystemSpec(n, tuple(speeds), tuple(disps), terms), np.stack(rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(system=random_systems(), tau=st.sampled_from([1e-3, 2e-2, 5e-2]))
+def test_dropped_zero_terms_keep_advance_equal_to_the_roll_transcription(system, tau):
+    # roll_rhs adds c*D1 and every coupling, zero coefficients included; the
+    # larger steps blow some systems up within the 12 steps
+    spec, u0 = system
+    grid = Grid(RANDOM_GRID.x_min, RANDOM_GRID.h, RANDOM_GRID.m_points, tau)
+    assert_advance_matches_roll(u0, spec, grid, 12)
 
 
 @pytest.mark.parametrize("factor", [30.0, 100.0])
