@@ -23,16 +23,11 @@ class BlowUpError(CkdvError):
 
 
 class ConfigError(CkdvError, ValueError):
-    """Invalid run configuration.
+    """Invalid run configuration; ``field`` names the offending key."""
 
-    ``field`` names the offending key for validation faults; ``line`` is the
-    1-based line number for parse faults.
-    """
-
-    def __init__(self, message: str, field: str | None = None, line: int | None = None):
+    def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
-        self.line = line
 
 
 def require_positive(name: str, value: float) -> None:

@@ -110,6 +110,9 @@ class Grid:
     def __post_init__(self):
         require_positive("h", self.h)
         require_positive("tau", self.tau)
+        if not _is_index(self.m_points):
+            msg = f"m_points must be an integer, got {self.m_points!r}"
+            raise ConfigError(msg, field="m_points")
         if self.m_points < 5:
             msg = f"the stencil needs m_points >= 5, got {self.m_points}"
             raise ConfigError(msg, field="m_points")

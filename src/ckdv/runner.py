@@ -39,7 +39,7 @@ from .model import (
     make_hs_first_kdv,
     make_perturbed_hs,
 )
-from .stepper import StepPlan, advance, advise_tau
+from .stepper import RULE_DISPERSIVE_CFL, StepPlan, advance, advise_tau
 
 SYSTEM_HS = "hirota_satsuma"
 SYSTEM_PERTURBED = "perturbed_hs"
@@ -67,7 +67,7 @@ class RunConfig:
     x_max: float = 20.0
     h: float = 0.05
     tau: float | None = None
-    tau_rule: str = "dispersive_cfl"
+    tau_rule: str = RULE_DISPERSIVE_CFL
     safety: float = 0.25
     t_end: float = 1.0
     snapshot_every: float | None = None
@@ -120,10 +120,10 @@ def _read_key_values(path: Path, what: str, field: str | None = None):
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             msg = f"{path} line {lineno}: expected 'key = value'"
-            raise ConfigError(msg, field=field, line=lineno)
+            raise ConfigError(msg, field=field)
         if key in seen and key != "term":
             msg = f"{path} line {lineno}: duplicate key '{key}'"
-            raise ConfigError(msg, field=field or key, line=lineno)
+            raise ConfigError(msg, field=field or key)
         seen.add(key)
         yield lineno, key, value
 
@@ -152,7 +152,7 @@ def _parse_system_file(path: Path) -> SystemSpec:
             else:
                 raise ValueError(f"unknown key '{key}'")
         except ValueError as exc:
-            raise ConfigError(f"{path} line {lineno}: {exc}", field="system", line=lineno) from exc
+            raise ConfigError(f"{path} line {lineno}: {exc}", field="system") from exc
     if n_modes is None or speeds is None or disps is None:
         raise ConfigError(f"{path}: custom system needs n_modes, c and d", field="system")
     try:
@@ -292,15 +292,15 @@ def load_config(path: str | Path) -> RunConfig:
     kwargs: dict[str, object] = {}
     for lineno, key, value in _read_key_values(path, "config file"):
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'", field=key, line=lineno)
+            raise ConfigError(f"line {lineno}: unknown key '{key}'", field=key)
         if not value:
-            raise ConfigError(f"line {lineno}: empty value for '{key}'", field=key, line=lineno)
+            raise ConfigError(f"line {lineno}: empty value for '{key}'", field=key)
         if key in _FLOAT_KEYS:
             try:
                 value = float(value)
             except ValueError:
                 msg = f"line {lineno}: key '{key}' needs a number, got '{value}'"
-                raise ConfigError(msg, field=key, line=lineno) from None
+                raise ConfigError(msg, field=key) from None
         kwargs[key] = value
     return RunConfig(**kwargs)
 
@@ -332,9 +332,12 @@ def _write_csv(path: Path, header: list[str], row_template: str, rows) -> None:
     ``%.17g`` in a template formats a float exactly as ``format(v, ".17g")``
     does, which round-trips every float64.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row_template % row for row in rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(row_template % row for row in rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}", field="output_dir") from exc
 
 
 def _format_column(values: np.ndarray) -> list[str]:
@@ -569,7 +572,7 @@ def run_preset(name: str, out_dir: str | Path | None = None):
     """Run a preset into ``out_dir``, by default ``ckdv_out/<name>``; returns a
     RunReport, or the written paths for oracle presets."""
     config = get_preset(name).config
-    out_dir = Path("ckdv_out") / name if out_dir is None else Path(out_dir)
+    out_dir = Path(RunConfig.output_dir) / name if out_dir is None else Path(out_dir)
     if config is None:
         return _write_oracle_profiles(name, out_dir)
     return run_experiment(dataclasses.replace(config, output_dir=str(out_dir)))

@@ -14,11 +14,9 @@ where for each mode n
 ``advance`` is the one way to run the scheme. Its kernel keeps two layers,
 each a buffer with two periodic ghost cells per side; the full stage
 overwrites layer j in place, in a fixed operation order that keeps runs
-bit-for-bit reproducible: R = acc + e_n D3(u_n), with acc the nonzero
-first-derivative terms (couplings in spec order, then c_n D1(u_n)) summed
-onto +0, the bits of (c_n D1 + couplings) + e_n D3 (see ``_Kernel``). Per
-step it copies nothing for the observer and clears most layers' blow-up
-checks by their sum of squares alone.
+bit-for-bit reproducible (see ``_Kernel``). Per step it copies nothing for
+the observer and clears most layers' blow-up checks by their sum of
+squares alone.
 
 The scheme is conditionally stable: tau must shrink faster than h. The
 step-size advisor offers the strict sixth-power bound
@@ -77,17 +75,18 @@ class StepPlan:
 
 
 class _Layer:
-    """One time layer of N modes in a flat buffer of N padded rows.
+    """N modes in a flat buffer of N padded rows: a time layer or a kernel scratch buffer.
 
     Row n holds two ghost cells, the M nodes, then two more ghost cells;
     the ghosts repeat the periodic neighbours, so across the whole buffer
     the +-1 and +-2 stencil shifts are contiguous slices. At ghost and row
     seam positions those slices mix rows; results there are overwritten.
+    A new layer is all +0.0, so what a scratch layer never writes stays +0.
     """
 
     def __init__(self, n_modes: int, m_points: int):
         w = m_points + 4
-        self.flat = np.empty(n_modes * w)
+        self.flat = np.zeros(n_modes * w)
         padded = self.flat.reshape(n_modes, w)
         self.values = padded[:, 2:-2]
         self.view = self.values.view()  # what the observer sees
@@ -110,13 +109,13 @@ class _Kernel:
     """The scheme's right-hand side R, applied in place on padded layers,
     and the one blow-up check.
 
-    Holds two layers (current, intermediate) and every scratch array, so
-    ``stage`` and ``check`` allocate nothing. The scratch arrays
-    span the layers' flat ``core`` range, so each operation is one
-    contiguous ufunc over all modes; per-mode dispersions repeat along
-    their rows. Scalar operands are prebuilt 0-d arrays and outputs are
-    passed positionally: NumPy converts a Python float, and parses an
-    ``out=`` keyword, on every call.
+    Holds two layers (current, intermediate) and every scratch buffer, so
+    ``stage`` and ``check`` allocate nothing. The scratch buffers are
+    ``_Layer``s too and are used over their flat ``core`` range, so each
+    operation is one contiguous ufunc over all modes; per-mode dispersions
+    fill their rows, ghosts included. Scalar operands are prebuilt 0-d
+    arrays and outputs are passed positionally: NumPy converts a Python
+    float, and parses an ``out=`` keyword, on every call.
 
     The operation order is fixed, and changing it changes the output bits:
     D1 = (u+1 - u-1) / 2h, D3 = ((u+2 - 2u+1) + 2u-1 - u-2) / 2h^3, the
@@ -134,20 +133,15 @@ class _Kernel:
 
     def __init__(self, spec: SystemSpec, grid: Grid, start: np.ndarray):
         n, m = spec.n_modes, grid.m_points
-        self.shape = (n, m)
         self.layers = (_Layer(n, m), _Layer(n, m))
         self.two = np.array(2.0)
         self.two_h = np.array(2.0 * grid.h)
         self.two_h3 = np.array(2.0 * grid.h**3)
-        w = m + 4
-        self.e = np.repeat(effective_dispersion(spec, grid.h), w)[2:-2]
-        self.twice = np.empty(n * w)
-        self.twice_up1, self.twice_dn1 = self.twice[3:-1], self.twice[1:-3]
-        size = self.twice_up1.size
-        self.d1, self.d3, self.acc = np.empty(size), np.empty(size), np.zeros(size)
-        # row i's nodes sit at core offsets i*w .. i*w + m - 1
-        d1_rows = [self.d1[i * w : i * w + m] for i in range(n)]
-        acc_rows = [self.acc[i * w : i * w + m] for i in range(n)]
+        twice, d1, d3, acc, e = (_Layer(n, m) for _ in range(5))
+        e.values[...] = effective_dispersion(spec, grid.h)[:, None]
+        e.wrap()
+        self.e, self.d1, self.d3, self.acc = e.core, d1.core, d3.core, acc.core
+        self.twice, self.twice_up1, self.twice_dn1 = twice.flat, twice.up1, twice.dn1
         zero_row = np.zeros(m)
         self.term = np.empty(m)
         # (k, D1_m row, coef, row added to, acc row) per nonzero term: the
@@ -158,12 +152,12 @@ class _Kernel:
         self.terms, started = [], set()
         for k, mm, coef, row in terms:
             if coef != 0.0:
-                base = acc_rows[row] if row in started else zero_row
+                base = acc.rows[row] if row in started else zero_row
                 started.add(row)
-                self.terms.append((k, d1_rows[mm], np.array(coef), base, acc_rows[row]))
-        self.magnitude = np.empty(n * w)
-        if start.shape != self.shape:
-            raise ValueError(f"state has shape {start.shape}, the run needs {self.shape}")
+                self.terms.append((k, d1.rows[mm], np.array(coef), base, acc.rows[row]))
+        self.magnitude = np.empty_like(twice.flat)
+        if start.shape != (n, m):
+            raise ValueError(f"state has shape {start.shape}, the run needs {(n, m)}")
         # the first layer holds the starting state, whose max-norm sets the blow-up limit
         self.layers[0].values[...] = start
         self.layers[0].wrap()

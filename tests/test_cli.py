@@ -255,3 +255,13 @@ def test_run_output_dir_that_is_a_file_is_a_config_fault(tmp_path, capsys):
     assert err == f"error: cannot create output_dir {taken}: File exists\n"
     assert main(["preset", "fig1", "--out", str(taken / "fig1")]) == 1
     assert "cannot create output_dir" in capsys.readouterr().err
+
+
+def test_an_artifact_that_cannot_be_written_is_a_config_fault(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "trace.csv").mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 0.1\nt_end = 0.01\noutput_dir = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'trace.csv'}: Is a directory\n"

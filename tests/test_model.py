@@ -145,6 +145,17 @@ def test_grid_invariants():
         Grid(0.0, 0.1, 4, 0.01)
 
 
+@pytest.mark.parametrize("m_points", [7.5, 8.0, True, "8"])
+def test_grid_rejects_a_non_integer_point_count(m_points):
+    with pytest.raises(ConfigError, match="m_points must be an integer") as info:
+        Grid(-2.0, 0.5, m_points, 1e-3)
+    assert info.value.field == "m_points"
+
+
+def test_grid_accepts_numpy_integer_point_counts():
+    assert Grid(-2.0, 0.5, np.int64(8), 1e-3) == Grid(-2.0, 0.5, 8, 1e-3)
+
+
 def test_grid_nodes():
     grid = Grid(-1.0, 0.5, 6, 0.1)
     assert np.array_equal(grid.nodes(), [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
