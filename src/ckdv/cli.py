@@ -12,6 +12,7 @@ Exit status: 0 on success, 1 on usage errors and config faults, 2 when a run blo
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -80,7 +81,9 @@ def _cmd_presets(_: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ckdv`` parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(prog="ckdv", description="coupled KdV solver")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -321,41 +321,69 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
         ):
             raise ConfigError(f"{key} = {value!r} cannot be written as one config line", field=key)
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     return path
 
 
-def _write_csv(path: Path, header: list[str], row_template: str, rows) -> None:
-    """Write the ``header`` line, then ``row_template % row`` for each row.
+# rows per text block of a CSV file: one ``%`` and one write per block
+_BLOCK_ROWS = 1024
 
-    Rows are streamed, not joined into one string of the whole file first.
-    ``%.17g`` in a template formats a float exactly as ``format(v, ".17g")``
-    does, which round-trips every float64.
-    """
+
+def _template(rows: list[str]) -> list[str]:
+    """The text ``rows`` joined into blocks of ``_BLOCK_ROWS`` rows."""
+    return ["".join(rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS)]
+
+
+def _write_csv(path: Path, blocks) -> None:
+    """Write each text block of ``blocks`` to ``path`` with one binary write;
+    only one block's text need exist at a time. An ``OSError`` is a fault
+    of ``output_dir``."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(row_template % row for row in rows)
+        with open(path, "wb") as fh:
+            for block in blocks:
+                fh.write(block.encode())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}", field="output_dir") from exc
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """``%.17g`` strings of ``values``, for a column written many times."""
-    return ["%.17g" % v for v in values.tolist()]
+def _filled(header: list[str], template: list[str], values: list, per_row: int):
+    """Yield the ``header`` line, then each block of ``template``, a
+    :func:`_template` of rows that take ``per_row`` of ``values`` each,
+    filled by one ``%`` with its rows' share. ``%.17g`` in a template
+    formats a float exactly as ``format(v, ".17g")`` does, which
+    round-trips every float64."""
+    yield ",".join(header) + "\n"
+    step = per_row * _BLOCK_ROWS
+    for k, block in enumerate(template):
+        yield block % tuple(values[k * step:(k + 1) * step])
 
 
-def _write_snapshot(path: Path, x: list[str], state: FieldSet) -> None:
-    """Write one layer; ``x`` is the node column from :func:`_format_column`."""
+def _snapshot_template(x: np.ndarray, n_modes: int) -> list[str]:
+    """The rows of a snapshot at nodes ``x``: each node's ``%.17g`` text,
+    then a ``%.17g`` for each of ``n_modes`` values, built once per run."""
+    tail = ",%.17g" * n_modes + "\n"
+    return _template(["%.17g" % v + tail for v in x.tolist()])
+
+
+def _write_snapshot(path: Path, template: list[str], state: FieldSet) -> None:
+    """Write one layer; ``template`` is from :func:`_snapshot_template`."""
     header = ["x"] + [f"theta_{n + 1}" for n in range(state.n_modes)]
-    row_template = "%s" + ",%.17g" * state.n_modes + "\n"
-    _write_csv(path, header, row_template, zip(x, *state.values.tolist()))
+    _write_csv(path, _filled(header, template, state.values.T.ravel().tolist(), state.n_modes))
+
+
+def _write_table(path: Path, header: list[str], row_template: str, rows: list[tuple]) -> None:
+    """Write ``row_template % row`` for each row, one value per column."""
+    values = [v for row in rows for v in row]
+    _write_csv(path, _filled(header, _template([row_template] * len(rows)), values, len(header)))
 
 
 def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
     columns = trace.columns
     row_template = ",".join(["%.17g"] * len(columns)) + "\n"
-    _write_csv(path, list(columns), row_template, zip(*columns.values()))
+    _write_table(path, list(columns), row_template, list(zip(*columns.values())))
 
 
 def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> None:
@@ -374,7 +402,7 @@ def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> No
     if report.blow_up_step is not None:
         rows.append(("run", "blow_up_step", report.blow_up_step))
     rows += [("snapshot", i, snap_path.name) for i, snap_path in enumerate(report.snapshots)]
-    _write_csv(path, ["kind", "key", "value"], "%s,%s,%s\n", rows)
+    _write_table(path, ["kind", "key", "value"], "%s,%s,%s\n", rows)
 
 
 def _snapshot_steps(per_snapshot: float, n_steps: int):
@@ -412,9 +440,12 @@ def run_experiment(config: RunConfig) -> RunReport:
     time step is shrunk to the nearest divisor of ``t_end`` so the run lands
     on the end time exactly. A blow-up does not raise: the report carries
     the failing step and every artifact produced up to it stays on disk.
+    ``trace.csv`` and ``report.csv`` are created before the first step and
+    filled after the last, so a run that cannot write them fails before it
+    steps; a run stopped by any other exception leaves them empty.
     """
     config, spec, plan, n_steps, grid, state0, oracle = _resolve(config)
-    x_column = _format_column(grid.nodes())
+    template = _snapshot_template(grid.nodes(), spec.n_modes)
     amplitude = None if oracle is None else float(np.abs(state0.values).max())
 
     out_dir = _make_output_dir(Path(config.output_dir))
@@ -424,11 +455,14 @@ def run_experiment(config: RunConfig) -> RunReport:
     def emit(state: FieldSet) -> None:
         idx = len(snapshots)
         snap_path = out_dir / f"snap_{idx:04d}_t{state.time:.6f}.csv"
-        _write_snapshot(snap_path, x_column, state)
+        _write_snapshot(snap_path, template, state)
         snapshots.append(snap_path)
         trace.record(state, grid.h, oracle, amplitude)
 
     emit(state0)
+    trace_path, report_path = out_dir / "trace.csv", out_dir / "report.csv"
+    for path in (trace_path, report_path):
+        _write_csv(path, ())
     snap_steps = _snapshot_steps(config.snapshot_every / grid.tau, n_steps)
     next_snap = next(snap_steps)
 
@@ -443,8 +477,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     except BlowUpError as exc:
         report.blow_up_step = exc.step
 
-    _write_trace(out_dir / "trace.csv", trace)
-    _write_report(out_dir / "report.csv", report, n_steps, grid)
+    _write_trace(trace_path, trace)
+    _write_report(report_path, report, n_steps, grid)
     return report
 
 
@@ -563,7 +597,7 @@ def _write_oracle_profiles(name: str, out_dir: Path) -> list[Path]:
         # the initial sample of the default run with this (m, d)
         *_, grid, state0, _ = _resolve(RunConfig(m=m, d=d))
         path = out_dir / f"oracle_m{m:g}_d{d:g}.csv"
-        _write_snapshot(path, _format_column(grid.nodes()), state0)
+        _write_snapshot(path, _snapshot_template(grid.nodes(), state0.n_modes), state0)
         paths.append(path)
     return paths
 

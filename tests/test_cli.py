@@ -265,3 +265,19 @@ def test_an_artifact_that_cannot_be_written_is_a_config_fault(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out / 'trace.csv'}: Is a directory\n"
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "report.csv"])
+def test_an_artifact_that_cannot_be_written_fails_the_run_before_it_steps(
+    tmp_path, capsys, monkeypatch, name
+):
+    def must_not_step(*_args, **_kwargs):
+        raise AssertionError("the run stepped")
+
+    monkeypatch.setattr(ckdv.runner, "advance", must_not_step)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 0.1\nt_end = 0.01\noutput_dir = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / name}: Is a directory\n"

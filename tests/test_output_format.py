@@ -2,7 +2,8 @@
 
 Every number is written as ``%.17g``. The golden files pin the spellings
 of the awkward values (``-0``, ``nan``, ``inf``, the smallest subnormal);
-the property compares the writers with a ``csv.writer`` transcription.
+the property compares the writers with a ``csv.writer`` transcription,
+also for snapshots that span several text blocks of the writer.
 Two short runs, one completed and one blown up, pin ``report.csv``.
 """
 
@@ -18,19 +19,27 @@ from hypothesis import strategies as st
 
 from ckdv.diagnostics import DiagnosticTrace
 from ckdv.model import FieldSet
-from ckdv.runner import RunConfig, _write_snapshot, _write_trace, run_experiment
+from ckdv.runner import (
+    _BLOCK_ROWS,
+    RunConfig,
+    _snapshot_template,
+    _write_snapshot,
+    _write_trace,
+    run_experiment,
+)
 
 SPECIAL = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 0.1, 1 / 3, 1e22]
 
 
-def x_column(x):
-    # the node column as run_experiment formats it once per run
-    return ["%.17g" % v for v in x]
+def x_column(x, n_modes):
+    # the snapshot template with the node column written in, as
+    # run_experiment builds it once per run
+    return _snapshot_template(np.array(x, dtype=float), n_modes)
 
 
 def write_snapshot(tmp_path, x, values):
     path = tmp_path / "snap.csv"
-    _write_snapshot(path, x_column(x), FieldSet(np.array(values, dtype=float), 0.0))
+    _write_snapshot(path, x_column(x, len(values)), FieldSet(np.array(values, dtype=float), 0.0))
     return path.read_bytes()
 
 
@@ -130,6 +139,21 @@ def test_snapshot_bytes_match_csv_transcription(tmp_path_factory, data):
     header = ["x"] + [f"theta_{n + 1}" for n in range(n_modes)]
     expected = transcribe(header, zip(x, *values))
     assert write_snapshot(tmp_path_factory.mktemp("snap"), x, values) == expected
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize(
+    "m_points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+)
+def test_snapshot_bytes_across_block_edges_match_csv_transcription(tmp_path, n_modes, m_points):
+    # SPECIAL cycled, each scaled by its row number so that no two rows match
+    x = [0.1 * i - 60.0 for i in range(m_points)]
+    values = [
+        [SPECIAL[(i + 4 * n) % len(SPECIAL)] * (i + 1) for i in range(m_points)]
+        for n in range(n_modes)
+    ]
+    header = ["x"] + [f"theta_{n + 1}" for n in range(n_modes)]
+    assert write_snapshot(tmp_path, x, values) == transcribe(header, zip(x, *values))
 
 
 @settings(max_examples=60, deadline=None)

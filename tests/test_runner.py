@@ -148,6 +148,14 @@ def test_write_config_writes_only_strings_that_load_back_equal(tmp_path, output_
     assert load_config(write_config(config, path)) == validate_config(config)
 
 
+def test_write_config_to_a_directory_is_a_config_fault(tmp_path):
+    target = tmp_path / "x.cfg"
+    target.mkdir()
+    with pytest.raises(ConfigError) as info:
+        write_config(RunConfig(h=0.1, t_end=0.05), target)
+    assert str(info.value) == f"cannot write {target}: Is a directory"
+
+
 def test_validate_config_faults_name_fields(tmp_path):
     three = tmp_path / "three.cfg"
     three.write_text("n_modes = 3\nc = 0, 0, 0\nd = 1, 1, 1\n")
