@@ -7,12 +7,13 @@ manifest. Identical configs produce bit-identical CSV output. Each run
 (config file, preset, refinement level, oracle profile) is set up once,
 by building the system, step plan, grid, start state and oracle its config
 describes; each constructor owns its rules, and a fault names the key. A
-refinement study builds each level's plan and grid once more beforehand.
+refinement study also sets up its coarsest and finest levels beforehand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
@@ -201,11 +202,19 @@ def _has_oracle(config: RunConfig) -> bool:
     return config.system == SYSTEM_HS and config.ic_kind == IC_SOLITON
 
 
-def _plan(config: RunConfig):
-    """``(spec, plan, n_steps, grid, ic)``: what :func:`_resolve` builds before
-    it samples anything, so the step and node counts are checked at no cost
-    in memory. Numbers must be finite; the constructors own their rules, and
-    their faults are only renamed to the config key."""
+def _resolve(config: RunConfig):
+    """``(config, spec, plan, n_steps, grid, state0, oracle)``, each built once.
+
+    ``state0`` is the sampled initial data, one row per mode of ``spec``;
+    ``oracle`` evaluates the closed-form soliton on the nodes, or is ``None``.
+    Numbers must be finite. The constructors own their rules (a fault is
+    only renamed to its config key) and run before anything is sampled, so
+    the step and node counts cost no memory to check. Checked after them,
+    as no constructor owns them: the snapshot interval (filled into
+    ``config``), an initial profile narrower than ``h``, a system with more
+    modes than the initial data fills, initial data zero at every node or
+    not finite at some node, and the edge warning.
+    """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
         if value is not None and not math.isfinite(value):
@@ -221,21 +230,6 @@ def _plan(config: RunConfig):
         if exc.field not in _CONFIG_KEY:
             raise
         raise ConfigError(str(exc), field=_CONFIG_KEY[exc.field]) from None
-    return spec, plan, n_steps, grid, ic
-
-
-def _resolve(config: RunConfig):
-    """``(config, spec, plan, n_steps, grid, state0, oracle)``, each built once.
-
-    ``state0`` is the sampled initial data, one row per mode of ``spec``;
-    ``oracle`` evaluates the closed-form soliton on the nodes, or is ``None``.
-    Checked here, after :func:`_plan`, as no constructor owns them: the
-    snapshot interval (filled into ``config``), an initial profile
-    narrower than ``h``, a system with more modes than the initial data
-    fills, initial data that is zero at every node or not finite at some
-    node, and the edge warning.
-    """
-    spec, plan, n_steps, grid, ic = _plan(config)
     snapshot_every = config.snapshot_every
     if snapshot_every is None:
         snapshot_every = config.t_end / 10.0
@@ -243,7 +237,6 @@ def _resolve(config: RunConfig):
         raise ConfigError("snapshot_every must be positive", field="snapshot_every")
     if snapshot_every > config.t_end:
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
-
     if ic.width < config.h:
         msg = f"initial profile width {ic.width:g} is below h = {config.h:g}; refine h"
         raise ConfigError(msg, field="h")
@@ -408,20 +401,18 @@ def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> No
 def _snapshot_steps(per_snapshot: float, n_steps: int):
     """Yield, in order, the steps of a run that end with a snapshot.
 
-    ``per_snapshot`` is the snapshot interval in steps. Step ``j`` takes a
-    snapshot when it is the first to reach ``k * per_snapshot`` for some
-    ``k >= 1``, less a tolerance of 1e-9 of an interval, and the last step
-    ``n_steps`` always does. Each step index costs O(1) to find, however
-    small the interval.
+    ``per_snapshot`` is the snapshot interval in steps. For ``k = 1, 2, ...``
+    snapshot ``k`` ends the first step to reach ``k * per_snapshot``, less a
+    tolerance of 1e-9 of an interval; the last step ``n_steps`` always does,
+    and ends the schedule.
     """
     per_snapshot = max(per_snapshot, 1.0)  # a shorter interval also ends on every step
     tolerance = 1e-9 * per_snapshot
-    step = 0
-    while step < n_steps:
-        k = math.floor(step / per_snapshot + 1e-9) + 1
-        step = max(step + 1, math.ceil(k * per_snapshot - tolerance))
-        step = min(step, n_steps)
+    for k in itertools.count(1):
+        step = min(math.ceil(k * per_snapshot - tolerance), n_steps)
         yield step
+        if step == n_steps:
+            return
 
 
 def _make_output_dir(path: Path) -> Path:
@@ -493,11 +484,13 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
     if n_levels < 3:
         raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
     configs = [RunConfig(h=h_coarsest / 2**k, t_end=t_end) for k in range(n_levels)]
-    # every level's step and node counts are checked before any level samples
-    # or steps: a config fault is never hidden by a blow-up. The levels differ
-    # only in h, and sampling faults a finer level only if the coarsest too.
-    for config in configs:
-        _plan(config)
+    # no level steps before the end levels are set up: a blow-up never hides a
+    # config fault. The levels differ only in h: step and node counts and tau
+    # underflow grow toward the finest level, width and tau overflow toward the
+    # coarsest, and the nodes nest, so an all-zero sample shows on the coarsest
+    # and a non-finite one on the finest. The coarsest goes first; its faults sample no finer level.
+    for config in (configs[0], configs[-1]):
+        _resolve(config)
     errors, l2_errors = zip(*map(_level_errors, configs))
     if 0.0 in errors:
         msg = f"t_end = {t_end:g} is too short to show any error; no order can be measured"

@@ -82,11 +82,15 @@ class _Layer:
     the +-1 and +-2 stencil shifts are contiguous slices. At ghost and row
     seam positions those slices mix rows; results there are overwritten.
     A new layer is all +0.0, so what a scratch layer never writes stays +0.
+    The first node, ``flat[2]``, sits on a 64-byte boundary whatever malloc
+    returned, so a buffer's speed does not depend on earlier allocations.
     """
 
     def __init__(self, n_modes: int, m_points: int):
         w = m_points + 4
-        self.flat = np.zeros(n_modes * w)
+        raw = np.zeros(n_modes * w + 8)
+        skip = (-(raw.ctypes.data + 16) % 64) // 8
+        self.flat = raw[skip:skip + n_modes * w]
         padded = self.flat.reshape(n_modes, w)
         self.values = padded[:, 2:-2]
         self.view = self.values.view()  # what the observer sees
@@ -142,8 +146,7 @@ class _Kernel:
         e.wrap()
         self.e, self.d1, self.d3, self.acc = e.core, d1.core, d3.core, acc.core
         self.twice, self.twice_up1, self.twice_dn1 = twice.flat, twice.up1, twice.dn1
-        zero_row = np.zeros(m)
-        self.term = np.empty(m)
+        zero_row, self.term = _Layer(1, m).rows[0], _Layer(1, m).rows[0]
         # (k, D1_m row, coef, row added to, acc row) per nonzero term: the
         # couplings in spec order, then the advection terms (k is None).
         # A row's first term is added to zeros, so no stage clears acc.
@@ -155,7 +158,7 @@ class _Kernel:
                 base = acc.rows[row] if row in started else zero_row
                 started.add(row)
                 self.terms.append((k, d1.rows[mm], np.array(coef), base, acc.rows[row]))
-        self.magnitude = np.empty_like(twice.flat)
+        self.magnitude = _Layer(n, m).flat
         if start.shape != (n, m):
             raise ValueError(f"state has shape {start.shape}, the run needs {(n, m)}")
         # the first layer holds the starting state, whose max-norm sets the blow-up limit

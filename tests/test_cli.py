@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ckdv
+import ckdv.analytic
 import ckdv.cli
 import ckdv.runner
 from ckdv.cli import main
@@ -131,6 +132,29 @@ def test_converge_sets_up_every_level_before_stepping(monkeypatch, capsys):
     monkeypatch.setattr(ckdv.runner, "advance", advance)
     assert main(["converge", "--levels", "9", "--t-end", "1e6"]) == 1
     assert "exceeds 2**53 steps" in capsys.readouterr().err
+
+
+def test_converge_with_a_faulty_coarsest_level_samples_no_finer_level(monkeypatch, capsys):
+    sampled = []
+
+    def sample_initial(ic, grid):
+        sampled.append(grid.m_points)
+        return ckdv.analytic.sample_initial(ic, grid)
+
+    monkeypatch.setattr(ckdv.runner, "sample_initial", sample_initial)
+    assert main(["converge", "--h0", "2", "--levels", "4"]) == 1
+    assert "initial profile width 1 is below h = 2" in capsys.readouterr().err
+    assert sampled == []
+
+
+def test_converge_with_a_node_count_fault_on_the_finest_level_alone_exits_1(monkeypatch, capsys):
+    # only level 17 has too many nodes; its step count, like every other level's, is fine
+    def advance(*args):
+        raise AssertionError("a level was stepped before the finest level was set up")
+
+    monkeypatch.setattr(ckdv.runner, "advance", advance)
+    assert main(["converge", "--levels", "18", "--t-end", "1e-9"]) == 1
+    assert "m_points = 26214400 exceeds 2**24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["converge", "--levels", "abc"], ["run"]], ids=["abc", "run"])

@@ -79,9 +79,8 @@ def test_hs_invariant_needs_two_modes():
 def test_hs_invariant_drift_shrinks_under_refinement():
     drifts = []
     for h in (0.2, 0.1, 0.05):
-        plan = advise_tau(HS, h, 1.0, "dispersive_cfl", 0.25)
-        n = math.ceil(1.0 / plan.tau - 1e-12)
-        grid = Grid(-20.0, h, round(40 / h), 1.0 / n)
+        plan, n = advise_tau(HS, h, 1.0, "dispersive_cfl", 0.25).fit_to_end()
+        grid = Grid(-20.0, h, round(40 / h), plan.tau)
         state = sample_initial(SOLITON, grid)
         final = advance(state, HS, grid, n)
         q0 = hs_invariant(state, h)

@@ -352,3 +352,16 @@ def test_check_draws_the_line_at_the_limit_itself(scale):
     layer.wrap()
     with pytest.raises(BlowUpError):
         kern.check(layer, 1, 0.0)
+
+
+# the fig3 (2 x 800) and fig4b (2 x 2,100) kernel shapes, each built after a
+# dummy allocation of a few sizes that shifts where malloc places what follows
+@pytest.mark.parametrize("dummy_floats", [1, 3, 130, 1001])
+@pytest.mark.parametrize("grid", [Grid(-20.0, 0.05, 800, 1e-5), Grid(-150.0, 0.1, 2100, 1e-4)])
+def test_every_kernel_buffer_starts_its_first_node_on_a_64_byte_boundary(grid, dummy_floats):
+    dummy = np.ones(dummy_floats)  # alive until the test returns
+    kern = _Kernel(make_hirota_satsuma(), grid, np.ones((2, grid.m_points)))
+    firsts = [layer.values for layer in kern.layers]
+    firsts += [kern.e, kern.d1, kern.d3, kern.acc, kern.term, kern.twice[2:], kern.magnitude[2:]]
+    firsts.append(kern.terms[0][3])  # the zero row the first term is added to
+    assert [first.ctypes.data % 64 for first in firsts] == [0] * len(firsts)

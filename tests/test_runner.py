@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckdv.errors import ConfigError
@@ -421,6 +421,7 @@ def test_snapshot_steps_match_accumulated_schedule_on_presets():
     n_steps=st.integers(1, 400),
     n_snapshots=st.one_of(st.integers(1, 60), st.floats(0.05, 60.0)),
 )
+@example(t_end=1.0, n_steps=35, n_snapshots=5)  # interval / tau = 7.000000000000001
 def test_snapshot_steps_match_accumulated_schedule(t_end, n_steps, n_snapshots):
     tau = t_end / n_steps
     interval = t_end / n_snapshots

@@ -22,9 +22,8 @@ SOLITON = SolitonParams(1.0, 0.0)
 
 
 def steps_for(spec, h, t_end, safety=0.25):
-    plan = advise_tau(spec, h, t_end, "dispersive_cfl", safety)
-    n = max(1, math.ceil(t_end / plan.tau - 1e-12))
-    return n, t_end / n
+    plan, n = advise_tau(spec, h, t_end, "dispersive_cfl", safety).fit_to_end()
+    return n, plan.tau
 
 
 # ---------------------------------------------------------------- steps
@@ -268,6 +267,12 @@ def test_step_plan_invariants():
         StepPlan(tau=0.0, rule="manual", safety=1.0, t_end=1.0)
     with pytest.raises(ValueError):
         StepPlan(tau=0.1, rule="manual", safety=-1.0, t_end=1.0)
+
+
+def test_fit_to_end_counts_a_ratio_just_above_an_integer_as_that_integer():
+    # 0.07 / 0.01 rounds to 7.000000000000001: seven steps of 0.01, not eight
+    plan, n_steps = StepPlan(tau=0.01, rule="manual", safety=0.25, t_end=0.07).fit_to_end()
+    assert n_steps == 7 and plan.tau == 0.07 / 7
 
 
 @pytest.mark.parametrize("rule", ["paper_strict", "dispersive_cfl", "manual"])
