@@ -237,6 +237,7 @@ def _resolve(config: RunConfig):
         raise ConfigError("snapshot_every must be positive", field="snapshot_every")
     if snapshot_every > config.t_end:
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
+
     if ic.width < config.h:
         msg = f"initial profile width {ic.width:g} is below h = {config.h:g}; refine h"
         raise ConfigError(msg, field="h")
@@ -488,7 +489,8 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
     # config fault. The levels differ only in h: step and node counts and tau
     # underflow grow toward the finest level, width and tau overflow toward the
     # coarsest, and the nodes nest, so an all-zero sample shows on the coarsest
-    # and a non-finite one on the finest. The coarsest goes first; its faults sample no finer level.
+    # and a non-finite one on the finest. The coarsest goes first; its faults
+    # sample no finer level.
     for config in (configs[0], configs[-1]):
         _resolve(config)
     errors, l2_errors = zip(*map(_level_errors, configs))

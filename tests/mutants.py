@@ -2,8 +2,7 @@
 
 Run from the repository root:
 
-    python tests/mutants.py             # every mutant
-    python tests/mutants.py NAME ...    # the named mutants only
+    python tests/mutants.py
 
 Each mutant is a file, an exact old text, the new text that replaces it, and
 the ids of the tests that must fail under it. The script copies ``src/``,
@@ -194,14 +193,9 @@ def _pytest(tree: Path, *ids: str) -> int:
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
 
 
-def main(names: list[str]) -> int:
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 1
+def main() -> int:
     faults = 0
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / m.path).read_text().count(m.old)
         if count != 1:
             print(f"BAD TEXT  {m.name}: the old text occurs {count} times in {m.path}")
@@ -213,11 +207,11 @@ def main(names: list[str]) -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", tree)
-        ids = sorted({t for m in mutants for t in m.tests})
+        ids = sorted({t for m in MUTANTS for t in m.tests})
         if _pytest(tree, *ids) != 0:
             print("the named tests do not all pass unmutated")
             return 1
-        for m in mutants:
+        for m in MUTANTS:
             target = tree / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
@@ -230,9 +224,9 @@ def main(names: list[str]) -> int:
                 faults += 1
             else:
                 print(f"killed    {m.name} ({len(m.tests)} of {len(m.tests)} tests fail)")
-    print(f"{len(mutants) - faults} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
     return 1 if faults else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
