@@ -111,6 +111,11 @@ class DiagnosticTrace:
             self.columns.setdefault(name, []).append(value)
 
 
+def level_h(h_coarsest: float, k: int) -> float:
+    """Refinement level ``k``'s h: ``h_coarsest / 2**k`` correctly rounded, for any ``k``."""
+    return math.ldexp(h_coarsest, -k)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Errors against the oracle across a sequence of halved grid spacings."""
@@ -121,7 +126,7 @@ class ConvergenceReport:
 
     @property
     def h_values(self) -> tuple[float, ...]:
-        return tuple(self.h_coarsest / 2**k for k in range(len(self.errors)))
+        return tuple(level_h(self.h_coarsest, k) for k in range(len(self.errors)))
 
     @property
     def observed_orders(self) -> tuple[float, ...]:

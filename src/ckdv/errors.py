@@ -11,9 +11,9 @@ class BlowUpError(CkdvError):
     """The discrete solution left the stable regime.
 
     Raised when a time layer contains non-finite entries or its max-norm
-    exceeds 1e6 times the initial max-norm. ``step`` is the 1-based index
-    of the step being computed when the blow-up was detected, and ``time``
-    the time that step reaches.
+    exceeds ``stepper.BLOWUP_FACTOR`` times the initial max-norm. ``step``
+    is the 1-based index of the step being computed when the blow-up was
+    detected, and ``time`` the time that step reaches.
     """
 
     def __init__(self, message: str, step: int, time: float):

@@ -29,7 +29,7 @@ from .analytic import (
     sample_initial,
     soliton_evaluator,
 )
-from .diagnostics import ConvergenceReport, DiagnosticTrace, l2_norm
+from .diagnostics import ConvergenceReport, DiagnosticTrace, l2_norm, level_h
 from .errors import BlowUpError, ConfigError
 from .model import (
     FieldSet,
@@ -111,7 +111,7 @@ def _read_key_values(path: Path, what: str, field: str | None = None):
     than ``term`` is a fault of ``field`` (of the repeated key if ``field`` is None)."""
     try:
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path
         raise ConfigError(f"cannot read {what} {path}", field=field) from exc
     seen = set()
     for lineno, rawline in enumerate(text.splitlines(), 1):
@@ -241,7 +241,8 @@ def _resolve(config: RunConfig):
     if ic.width < config.h:
         msg = f"initial profile width {ic.width:g} is below h = {config.h:g}; refine h"
         raise ConfigError(msg, field="h")
-    state0 = sample_initial(ic, grid)
+    with np.errstate(over="ignore"):  # the non-finite check below owns an overflow
+        state0 = sample_initial(ic, grid)
     if spec.n_modes > state0.n_modes:
         raise ConfigError(
             f"initial condition provides {state0.n_modes} modes but the system has "
@@ -322,13 +323,8 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
     return path
 
 
-# rows per text block of a CSV file: one ``%`` and one write per block
+# rows per text block of a snapshot file: one ``%`` and one write per block
 _BLOCK_ROWS = 1024
-
-
-def _template(rows: list[str]) -> list[str]:
-    """The text ``rows`` joined into blocks of ``_BLOCK_ROWS`` rows."""
-    return ["".join(rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS)]
 
 
 def _write_csv(path: Path, blocks) -> None:
@@ -343,41 +339,34 @@ def _write_csv(path: Path, blocks) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}", field="output_dir") from exc
 
 
-def _filled(header: list[str], template: list[str], values: list, per_row: int):
-    """Yield the ``header`` line, then each block of ``template``, a
-    :func:`_template` of rows that take ``per_row`` of ``values`` each,
-    filled by one ``%`` with its rows' share. ``%.17g`` in a template
-    formats a float exactly as ``format(v, ".17g")`` does, which
-    round-trips every float64."""
-    yield ",".join(header) + "\n"
-    step = per_row * _BLOCK_ROWS
-    for k, block in enumerate(template):
-        yield block % tuple(values[k * step:(k + 1) * step])
-
-
 def _snapshot_template(x: np.ndarray, n_modes: int) -> list[str]:
-    """The rows of a snapshot at nodes ``x``: each node's ``%.17g`` text,
-    then a ``%.17g`` for each of ``n_modes`` values, built once per run."""
+    """A snapshot's text at nodes ``x`` in blocks of ``_BLOCK_ROWS`` rows, built
+    once per run: the header line, then each node's ``%.17g`` text and a
+    ``%.17g`` for each of ``n_modes`` values. ``%.17g`` formats a float exactly
+    as ``format(v, ".17g")`` does, which round-trips every float64."""
     tail = ",%.17g" * n_modes + "\n"
-    return _template(["%.17g" % v + tail for v in x.tolist()])
+    rows = ["%.17g" % v + tail for v in x.tolist()]
+    rows[0] = ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\n" + rows[0]
+    return ["".join(rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS)]
 
 
 def _write_snapshot(path: Path, template: list[str], state: FieldSet) -> None:
-    """Write one layer; ``template`` is from :func:`_snapshot_template`."""
-    header = ["x"] + [f"theta_{n + 1}" for n in range(state.n_modes)]
-    _write_csv(path, _filled(header, template, state.values.T.ravel().tolist(), state.n_modes))
+    """Write one layer, each block of ``template`` (from :func:`_snapshot_template`)
+    filled by one ``%`` with its rows' values."""
+    values, step = state.values.T.ravel().tolist(), state.n_modes * _BLOCK_ROWS
+    blocks = (block % tuple(values[k * step:(k + 1) * step]) for k, block in enumerate(template))
+    _write_csv(path, blocks)
 
 
-def _write_table(path: Path, header: list[str], row_template: str, rows: list[tuple]) -> None:
-    """Write ``row_template % row`` for each row, one value per column."""
-    values = [v for row in rows for v in row]
-    _write_csv(path, _filled(header, _template([row_template] * len(rows)), values, len(header)))
+def _write_table(path: Path, header: list[str], row_template: str, rows) -> None:
+    """Write the ``header`` line, then ``row_template % row`` for each row."""
+    _write_csv(path, [",".join(header) + "\n" + "".join(row_template % row for row in rows)])
 
 
 def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
     columns = trace.columns
     row_template = ",".join(["%.17g"] * len(columns)) + "\n"
-    _write_table(path, list(columns), row_template, list(zip(*columns.values())))
+    _write_table(path, list(columns), row_template, zip(*columns.values()))
 
 
 def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> None:
@@ -419,8 +408,8 @@ def _snapshot_steps(per_snapshot: float, n_steps: int):
 def _make_output_dir(path: Path) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        msg = f"cannot create output_dir {path}: {exc.strerror}"
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, with no strerror
+        msg = f"cannot create output_dir {path}: {getattr(exc, 'strerror', exc)}"
         raise ConfigError(msg, field="output_dir") from exc
     return path
 
@@ -477,23 +466,25 @@ def run_experiment(config: RunConfig) -> RunReport:
 def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> ConvergenceReport:
     """Refinement study of the default soliton run at h, h/2, h/4, ...
 
-    Level k runs ``RunConfig(h=h_coarsest / 2**k, t_end=t_end)``: the
+    Level k runs ``RunConfig(h=level_h(h_coarsest, k), t_end=t_end)``: the
     m = 1, d = 0 soliton on the Hirota-Satsuma system, measured against
     its closed form. The ``dispersive_cfl`` step at safety 0.25 keeps the
     tau error term subdominant to the h^2 one at every level.
     """
+    def level(k: int) -> RunConfig:
+        return RunConfig(h=level_h(h_coarsest, k), t_end=t_end)
+
     if n_levels < 3:
         raise ConfigError(f"n_levels must be >= 3, got {n_levels}", field="n_levels")
-    configs = [RunConfig(h=h_coarsest / 2**k, t_end=t_end) for k in range(n_levels)]
     # no level steps before the end levels are set up: a blow-up never hides a
     # config fault. The levels differ only in h: step and node counts and tau
     # underflow grow toward the finest level, width and tau overflow toward the
     # coarsest, and the nodes nest, so an all-zero sample shows on the coarsest
     # and a non-finite one on the finest. The coarsest goes first; its faults
     # sample no finer level.
-    for config in (configs[0], configs[-1]):
-        _resolve(config)
-    errors, l2_errors = zip(*map(_level_errors, configs))
+    for k in (0, n_levels - 1):
+        _resolve(level(k))
+    errors, l2_errors = zip(*(_level_errors(level(k)) for k in range(n_levels)))
     if 0.0 in errors:
         msg = f"t_end = {t_end:g} is too short to show any error; no order can be measured"
         raise ConfigError(msg, field="t_end")

@@ -112,8 +112,8 @@ MUTANTS = (
     Mutant(
         "block slice one value long",
         RUNNER,
-        "yield block % tuple(values[k * step:(k + 1) * step])",
-        "yield block % tuple(values[k * step:(k + 1) * step + 1])",
+        "tuple(values[k * step:(k + 1) * step])",
+        "tuple(values[k * step:(k + 1) * step + 1])",
         (
             "tests/test_output_format.py::test_snapshot_bytes_across_block_edges_match_csv_transcription",
         ),
@@ -121,10 +121,20 @@ MUTANTS = (
     Mutant(
         "block values stepped by _BLOCK_ROWS - 1 rows",
         RUNNER,
-        "    step = per_row * _BLOCK_ROWS\n",
-        "    step = per_row * (_BLOCK_ROWS - 1)\n",
+        ", state.n_modes * _BLOCK_ROWS\n",
+        ", state.n_modes * (_BLOCK_ROWS - 1)\n",
         (
             "tests/test_output_format.py::test_snapshot_bytes_across_block_edges_match_csv_transcription",
+        ),
+    ),
+    Mutant(
+        "snapshot header on the last row",
+        RUNNER,
+        '    rows[0] = ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\\n" + rows[0]\n',
+        '    rows[-1] += ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\\n"\n',
+        (
+            "tests/test_output_format.py::test_snapshot_golden_bytes_one_mode",
+            "tests/test_output_format.py::test_snapshot_golden_bytes_three_modes",
         ),
     ),
     Mutant(
@@ -168,8 +178,8 @@ MUTANTS = (
     Mutant(
         "refinement study checks its coarsest level only",
         RUNNER,
-        "for config in (configs[0], configs[-1]):",
-        "for config in (configs[0],):",
+        "for k in (0, n_levels - 1):",
+        "for k in (0,):",
         (
             "tests/test_cli.py::test_converge_with_a_node_count_fault_on_the_finest_level_alone_exits_1",
         ),
@@ -177,8 +187,8 @@ MUTANTS = (
     Mutant(
         "refinement study checks its finest level only",
         RUNNER,
-        "for config in (configs[0], configs[-1]):",
-        "for config in (configs[-1],):",
+        "for k in (0, n_levels - 1):",
+        "for k in (n_levels - 1,):",
         (
             "tests/test_cli.py::test_converge_with_a_faulty_coarsest_level_samples_no_finer_level",
         ),

@@ -249,6 +249,8 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["run"], "x_min = 1000\nx_max = 1040\n", "the domain misses it"),
         (["run"], "ic_kind = triangle_pulse\ncenter = 1000\n", "the domain misses it"),
         (["converge", "--t-end", "1e-300"], None, "t_end = 1e-300 is too short"),
+        (["converge", "--levels", "1100"], None, "h must be positive, got 0.0"),
+        (["run"], "system = custom:{tmp}/nul\0.sys\n", "cannot read custom system file"),
     ],
 )
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):
@@ -279,6 +281,15 @@ def test_run_output_dir_that_is_a_file_is_a_config_fault(tmp_path, capsys):
     assert err == f"error: cannot create output_dir {taken}: File exists\n"
     assert main(["preset", "fig1", "--out", str(taken / "fig1")]) == 1
     assert "cannot create output_dir" in capsys.readouterr().err
+
+
+def test_run_output_dir_with_a_nul_byte_is_a_config_fault(tmp_path, capsys):
+    out = f"{tmp_path}/o\0ut"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 0.1\nt_end = 0.01\noutput_dir = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot create output_dir {out}: embedded null byte\n"
 
 
 def test_an_artifact_that_cannot_be_written_is_a_config_fault(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ckdv.diagnostics import (
     count_peaks,
     hs_invariant,
     l2_norm,
+    level_h,
     mode_mass,
     percent_error,
 )
@@ -218,6 +220,13 @@ def test_trace_sums_all_rows_as_each_row_alone_bitwise(n, length, seed, h):
 def test_observed_orders_halving():
     orders = ConvergenceReport(0.4, (0.4, 0.1, 0.025), (0.4, 0.1, 0.025)).observed_orders
     assert orders == pytest.approx([2.0, 2.0], rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 1200))
+def test_level_h_is_h_over_2_to_the_k_correctly_rounded_past_the_float_range(h, k):
+    # h / 2**k raises OverflowError from k = 1024; below that it is this rounding
+    assert level_h(h, k) == float(Fraction(h) / 2**k)
 
 
 def test_convergence_study_linearized_sinusoid():

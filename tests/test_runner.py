@@ -182,6 +182,14 @@ def test_validate_config_faults_name_fields(tmp_path):
         assert info.value.field == field, f"{kwargs} should fault on {field}"
 
 
+def test_an_overflowing_initial_sample_is_a_config_fault_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="the initial data overflows") as info:
+            validate_config(RunConfig(ic_kind="stretched_soliton", amp_scale=1e308))
+    assert info.value.field == "ic_kind"
+
+
 def test_validate_config_warns_on_narrow_domain():
     with pytest.warns(UserWarning, match="edge contamination"):
         validate_config(RunConfig(ic_kind="stretched_soliton", width_scale=10.0))
