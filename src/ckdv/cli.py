@@ -3,7 +3,8 @@
     ckdv run --config <path>
     ckdv preset <name> [--out <dir>]
     ckdv converge --levels <n> [--h0 <real>]
-    ckdv advise --config <path>    (the plan and grid ``run`` uses; same faults)
+    ckdv advise --config <path>    (the plan and grid ``run`` uses; ``run``'s faults,
+                                    but output_dir and artifact faults show only in ``run``)
     ckdv presets
 
 Exit status: 0 on success, 1 on usage errors and config faults, 2 when a run blows up.

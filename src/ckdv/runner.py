@@ -110,9 +110,10 @@ def _read_key_values(path: Path, what: str, field: str | None = None):
     comment. An unreadable file, a line without ``=`` or a repeat of a key other
     than ``term`` is a fault of ``field`` (of the repeated key if ``field`` is None)."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path
-        raise ConfigError(f"cannot read {what} {path}", field=field) from exc
+        msg = f"cannot read {what} {path}: {getattr(exc, 'strerror', exc)}"
+        raise ConfigError(msg, field=field) from exc
     seen = set()
     for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
@@ -316,10 +317,7 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
         ):
             raise ConfigError(f"{key} = {value!r} cannot be written as one config line", field=key)
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    _write_csv(path, ["\n".join(lines) + "\n"], field=None)
     return path
 
 
@@ -327,16 +325,17 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
 _BLOCK_ROWS = 1024
 
 
-def _write_csv(path: Path, blocks) -> None:
-    """Write each text block of ``blocks`` to ``path`` with one binary write;
-    only one block's text need exist at a time. An ``OSError`` is a fault
-    of ``output_dir``."""
+def _write_csv(path: Path, blocks, field: str | None = "output_dir") -> None:
+    """Write each text block of ``blocks`` to ``path`` in UTF-8 with one binary
+    write; only one block's text need exist at a time. A file that cannot be
+    written (a NUL in ``path`` included) is a fault of ``field``."""
     try:
         with open(path, "wb") as fh:
             for block in blocks:
                 fh.write(block.encode())
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}", field="output_dir") from exc
+    except (OSError, ValueError) as exc:
+        msg = f"cannot write {path}: {getattr(exc, 'strerror', exc)}"
+        raise ConfigError(msg, field=field) from exc
 
 
 def _snapshot_template(x: np.ndarray, n_modes: int) -> list[str]:
@@ -433,26 +432,22 @@ def run_experiment(config: RunConfig) -> RunReport:
     report = RunReport([], DiagnosticTrace(), None, plan, out_dir)
     snapshots, trace = report.snapshots, report.trace
 
-    def emit(state: FieldSet) -> None:
-        idx = len(snapshots)
-        snap_path = out_dir / f"snap_{idx:04d}_t{state.time:.6f}.csv"
-        _write_snapshot(snap_path, template, state)
-        snapshots.append(snap_path)
-        trace.record(state, grid.h, oracle, amplitude)
-
-    emit(state0)
-    trace_path, report_path = out_dir / "trace.csv", out_dir / "report.csv"
-    for path in (trace_path, report_path):
-        _write_csv(path, ())
     snap_steps = _snapshot_steps(config.snapshot_every / grid.tau, n_steps)
-    next_snap = next(snap_steps)
+    next_snap = 0
 
     def observer(step: int, time: float, values: np.ndarray) -> None:
         nonlocal next_snap
         if step == next_snap:
-            emit(FieldSet(values, time))
+            state = FieldSet(values, time)
+            snapshots.append(out_dir / f"snap_{len(snapshots):04d}_t{time:.6f}.csv")
+            _write_snapshot(snapshots[-1], template, state)
+            trace.record(state, grid.h, oracle, amplitude)
             next_snap = next(snap_steps, None)
 
+    observer(0, state0.time, state0.values)  # the start state is snapshot 0
+    trace_path, report_path = out_dir / "trace.csv", out_dir / "report.csv"
+    for path in (trace_path, report_path):
+        _write_csv(path, ())
     try:
         advance(state0, spec, grid, n_steps, observer)
     except BlowUpError as exc:

@@ -138,6 +138,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "start state not written",
+        RUNNER,
+        "    next_snap = 0\n",
+        "    next_snap = 1\n",
+        (
+            "tests/test_output_format.py::test_report_golden_bytes",
+            "tests/test_runner.py::test_run_experiment_artifacts",
+        ),
+    ),
+    Mutant(
+        "_write_csv catches OSError only",
+        RUNNER,
+        "    except (OSError, ValueError) as exc:\n        msg = f\"cannot write {path}",
+        "    except OSError as exc:\n        msg = f\"cannot write {path}",
+        (
+            "tests/test_runner.py::test_write_config_to_a_path_with_a_nul_byte_is_a_config_fault",
+        ),
+    ),
+    Mutant(
         "EDGE_RATIO 1e-4",
         RUNNER,
         "EDGE_RATIO = 1e-6\n",

@@ -260,7 +260,8 @@ def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, m
         cfg = tmp_path / "run.cfg"
         config = config.format(tmp=tmp_path)
         cfg.write_text(config + f"t_end = 0.01\noutput_dir = {tmp_path / 'out'}\n")
-        # advise sets up as run does, so it rejects the config with the same message
+        # advise sets up as run does, short of creating output_dir and the
+        # artifacts, so it rejects these configs with the same message
         assert main(["advise", "--config", str(cfg)]) == 1
         advise_err = capsys.readouterr().err
         argv = argv + ["--config", str(cfg)]
@@ -276,6 +277,9 @@ def test_run_output_dir_that_is_a_file_is_a_config_fault(tmp_path, capsys):
     taken.write_text("not a directory\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"h = 0.1\nt_end = 0.01\noutput_dir = {taken}\n")
+    # advise creates nothing, so an output_dir fault passes it and shows only in run
+    assert main(["advise", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot create output_dir {taken}: File exists\n"

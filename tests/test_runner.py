@@ -156,6 +156,13 @@ def test_write_config_to_a_directory_is_a_config_fault(tmp_path):
     assert str(info.value) == f"cannot write {target}: Is a directory"
 
 
+def test_write_config_to_a_path_with_a_nul_byte_is_a_config_fault(tmp_path):
+    target = tmp_path / "a\0b.cfg"
+    with pytest.raises(ConfigError) as info:
+        write_config(RunConfig(h=0.1, t_end=0.05), target)
+    assert str(info.value) == f"cannot write {target}: embedded null byte"
+
+
 def test_validate_config_faults_name_fields(tmp_path):
     three = tmp_path / "three.cfg"
     three.write_text("n_modes = 3\nc = 0, 0, 0\nd = 1, 1, 1\n")
@@ -529,9 +536,15 @@ def test_config_and_system_files_share_the_line_reader(tmp_path):
         build_system(RunConfig(system=f"custom:{sysfile}"))
     assert info.value.field == "system"
     assert str(info.value).startswith(f"{sysfile} line 2: ")
+    # an unreadable file's fault ends with the reason, as a write fault does
+    missing = tmp_path / "missing.cfg"
     with pytest.raises(ConfigError) as info:
-        load_config(tmp_path / "missing.cfg")
-    assert "cannot read config file" in str(info.value)
+        load_config(missing)
+    assert str(info.value) == f"cannot read config file {missing}: No such file or directory"
+    with pytest.raises(ConfigError) as info:
+        build_system(RunConfig(system=f"custom:{missing}"))
+    assert info.value.field == "system"
+    assert str(info.value) == f"cannot read custom system file {missing}: No such file or directory"
     # a repeated key is a fault in both files; only a system's term repeats
     sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nd = 0.5\n")
     with pytest.raises(ConfigError, match=r"system\.cfg line 4: duplicate key 'd'") as info:
