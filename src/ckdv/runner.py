@@ -110,7 +110,7 @@ def _read_key_values(path: Path, what: str, field: str | None = None):
     comment. An unreadable file, a line without ``=`` or a repeat of a key other
     than ``term`` is a fault of ``field`` (of the repeated key if ``field`` is None)."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path
         msg = f"cannot read {what} {path}: {getattr(exc, 'strerror', exc)}"
         raise ConfigError(msg, field=field) from exc

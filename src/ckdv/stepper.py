@@ -12,11 +12,12 @@ where for each mode n
     R_n(u) = c_n D1(u_n) + sum_terms g * u_k * D1(u_m) + e_n D3(u_n).
 
 ``advance`` is the one way to run the scheme. Its kernel keeps two layers,
-each a buffer with two periodic ghost cells per side; the full stage
-overwrites layer j in place, in a fixed operation order that keeps runs
-bit-for-bit reproducible (see ``_Kernel``). Per step it copies nothing for
-the observer and clears most layers' blow-up checks by their sum of
-squares alone.
+each a buffer with two periodic ghost cells per side. Once per call it
+builds each stage as a program of ufunc calls on fixed buffers, with one
+divide for D1 and D3; the full stage overwrites layer j in place, in a
+fixed operation order that keeps runs bit-for-bit reproducible (see
+``_Kernel``). Per step it copies nothing for the observer and clears most
+layers' blow-up checks by their sum of squares alone.
 
 The scheme is conditionally stable: tau must shrink faster than h. The
 step-size advisor offers the strict sixth-power bound
@@ -114,12 +115,15 @@ class _Kernel:
     and the one blow-up check.
 
     Holds two layers (current, intermediate) and every scratch buffer, so
-    ``stage`` and ``check`` allocate nothing. The scratch buffers are
-    ``_Layer``s too and are used over their flat ``core`` range, so each
-    operation is one contiguous ufunc over all modes; per-mode dispersions
-    fill their rows, ghosts included. Scalar operands are prebuilt 0-d
-    arrays and outputs are passed positionally: NumPy converts a Python
-    float, and parses an ``out=`` keyword, on every call.
+    the stage programs and ``check`` allocate nothing. ``program`` binds a
+    stage's ufunc calls to these buffers once, so a step looks nothing up.
+    The scratch buffers are ``_Layer``s too and are used over their flat
+    ``core`` range, so each operation is one contiguous ufunc over all
+    modes; per-mode dispersions fill their rows, ghosts included. D1 and D3
+    share one 2N-row buffer (D1 rows first) and one divide by a buffer that
+    holds 2h in the D1 rows and 2h^3 in the D3 rows. Scalar operands are
+    prebuilt 0-d arrays and outputs are passed positionally: NumPy converts
+    a Python float, and parses an ``out=`` keyword, on every call.
 
     The operation order is fixed, and changing it changes the output bits:
     D1 = (u+1 - u-1) / 2h, D3 = ((u+2 - 2u+1) + 2u-1 - u-2) / 2h^3, the
@@ -139,12 +143,15 @@ class _Kernel:
         n, m = spec.n_modes, grid.m_points
         self.layers = (_Layer(n, m), _Layer(n, m))
         self.two = np.array(2.0)
-        self.two_h = np.array(2.0 * grid.h)
-        self.two_h3 = np.array(2.0 * grid.h**3)
-        twice, d1, d3, acc, e = (_Layer(n, m) for _ in range(5))
+        twice, acc, e = (_Layer(n, m) for _ in range(3))
         e.values[...] = effective_dispersion(spec, grid.h)[:, None]
         e.wrap()
-        self.e, self.d1, self.d3, self.acc = e.core, d1.core, d3.core, acc.core
+        derivs, divisor = _Layer(2 * n, m), _Layer(2 * n, m)
+        divisor.values[:n] = 2.0 * grid.h
+        divisor.values[n:] = 2.0 * grid.h**3
+        divisor.wrap()
+        self.e, self.acc, self.derivs, self.divisor = e.core, acc.core, derivs.core, divisor.core
+        self.d1, self.d3 = derivs.core[:n * (m + 4) - 4], derivs.core[n * (m + 4):]
         self.twice, self.twice_up1, self.twice_dn1 = twice.flat, twice.up1, twice.dn1
         zero_row, self.term = _Layer(1, m).rows[0], _Layer(1, m).rows[0]
         # (k, D1_m row, coef, row added to, acc row) per nonzero term: the
@@ -157,7 +164,7 @@ class _Kernel:
             if coef != 0.0:
                 base = acc.rows[row] if row in started else zero_row
                 started.add(row)
-                self.terms.append((k, d1.rows[mm], np.array(coef), base, acc.rows[row]))
+                self.terms.append((k, derivs.rows[mm], np.array(coef), base, acc.rows[row]))
         self.magnitude = _Layer(n, m).flat
         if start.shape != (n, m):
             raise ValueError(f"state has shape {start.shape}, the run needs {(n, m)}")
@@ -187,31 +194,30 @@ class _Kernel:
         if not (amax <= self.limit) or not math.isfinite(amax):
             raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
 
-    def stage(self, base: _Layer, arg: _Layer, dt: np.ndarray, out: _Layer) -> None:
-        """Set ``out`` to ``base - dt * R(arg)``, ghost cells included; ``dt`` is 0-d.
-
+    def program(self, base: _Layer, arg: _Layer, dt: np.ndarray, out: _Layer) -> tuple:
+        """The calls ``(f, a, b, o)``, each run as ``f(a, b, o)``, that set ``out``'s
+        nodes to ``base - dt * R(arg)``, ``dt`` 0-d; ``out.wrap()`` sets its ghosts.
         ``out`` may be ``base``: all of R is built before ``base`` is read."""
-        np.multiply(arg.flat, self.two, self.twice)
+        mul, add, sub = np.multiply, np.add, np.subtract
         d1, d3, term, rows = self.d1, self.d3, self.term, arg.rows
-        np.subtract(arg.up1, arg.dn1, d1)
-        np.divide(d1, self.two_h, d1)
-        np.subtract(arg.up2, self.twice_up1, d3)
-        np.add(d3, self.twice_dn1, d3)
-        np.subtract(d3, arg.dn2, d3)
-        np.divide(d3, self.two_h3, d3)
+        ops = [
+            (mul, arg.flat, self.two, self.twice),
+            (sub, arg.up1, arg.dn1, d1),
+            (sub, arg.up2, self.twice_up1, d3),
+            (add, d3, self.twice_dn1, d3),
+            (sub, d3, arg.dn2, d3),
+            (np.divide, self.derivs, self.divisor, self.derivs),
+        ]
         for k, d1_row, coef, base_row, acc_row in self.terms:
             if k is None:
-                np.multiply(d1_row, coef, term)
+                ops.append((mul, d1_row, coef, term))
             else:
-                np.multiply(rows[k], d1_row, term)
-                np.multiply(term, coef, term)
-            np.add(base_row, term, acc_row)
+                ops += [(mul, rows[k], d1_row, term), (mul, term, coef, term)]
+            ops.append((add, base_row, term, acc_row))
         # R = acc + e*D3, built in d3
-        np.multiply(self.e, d3, d3)
-        np.add(self.acc, d3, d3)
-        np.multiply(d3, dt, d3)
-        np.subtract(base.core, d3, out.core)
-        out.wrap()
+        ops += [(mul, self.e, d3, d3), (add, self.acc, d3, d3), (mul, d3, dt, d3)]
+        ops.append((sub, base.core, d3, out.core))
+        return tuple(ops)
 
 
 def advance(
@@ -238,12 +244,18 @@ def advance(
     cur, half = kern.layers
     tau = grid.tau
     half_dt, dt = np.array(0.5 * tau), np.array(tau)
+    half_ops = kern.program(cur, cur, half_dt, half)
+    full_ops = kern.program(cur, half, dt, cur)
     t0 = state.time
     for j in range(1, n_steps + 1):
         t = t0 + j * tau
-        kern.stage(cur, cur, half_dt, half)
+        for f, a, b, o in half_ops:
+            f(a, b, o)
+        half.wrap()
         kern.check(half, j, t)
-        kern.stage(cur, half, dt, cur)
+        for f, a, b, o in full_ops:
+            f(a, b, o)
+        cur.wrap()
         kern.check(cur, j, t)
         if observer is not None:
             observer(j, t, cur.view)

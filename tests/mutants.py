@@ -61,12 +61,32 @@ MUTANTS = (
     Mutant(
         "D3 operation order",
         STEPPER,
-        "        np.subtract(arg.up2, self.twice_up1, d3)\n"
-        "        np.add(d3, self.twice_dn1, d3)\n"
-        "        np.subtract(d3, arg.dn2, d3)\n",
-        "        np.subtract(arg.up2, arg.dn2, d3)\n"
-        "        np.subtract(d3, self.twice_up1, d3)\n"
-        "        np.add(d3, self.twice_dn1, d3)\n",
+        "            (sub, arg.up2, self.twice_up1, d3),\n"
+        "            (add, d3, self.twice_dn1, d3),\n"
+        "            (sub, d3, arg.dn2, d3),\n",
+        "            (sub, arg.up2, arg.dn2, d3),\n"
+        "            (sub, d3, self.twice_up1, d3),\n"
+        "            (add, d3, self.twice_dn1, d3),\n",
+        (
+            "tests/test_kernel.py::test_three_mode_advance_matches_roll_transcription_bitwise",
+            "tests/test_kernel.py::test_hirota_satsuma_advance_matches_roll_transcription_bitwise",
+        ),
+    ),
+    Mutant(
+        "D1 divided by 2h^3",
+        STEPPER,
+        "divisor.values[:n] = 2.0 * grid.h\n",
+        "divisor.values[:n] = 2.0 * grid.h**3\n",
+        (
+            "tests/test_kernel.py::test_three_mode_advance_matches_roll_transcription_bitwise",
+            "tests/test_kernel.py::test_hirota_satsuma_advance_matches_roll_transcription_bitwise",
+        ),
+    ),
+    Mutant(
+        "full stage reads the start layer",
+        STEPPER,
+        "full_ops = kern.program(cur, half, dt, cur)",
+        "full_ops = kern.program(cur, cur, dt, cur)",
         (
             "tests/test_kernel.py::test_three_mode_advance_matches_roll_transcription_bitwise",
             "tests/test_kernel.py::test_hirota_satsuma_advance_matches_roll_transcription_bitwise",

@@ -151,6 +151,22 @@ def test_hirota_satsuma_advance_matches_roll_transcription_bitwise():
     assert assert_advance_matches_roll(triangles()[:2], hs, GRID3, 50) is None
 
 
+# D1 and D3 share one buffer of 2N padded rows; D3's first node sits n*(m+4)
+# floats after D1's, so these shapes put it at every residue 0, 2, 4, 5, 6 and 7
+# mod 8 floats, on the 64-byte line and off it
+@pytest.mark.parametrize("m_points", [9, 10, 11, 12])
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_advance_matches_roll_transcription_at_every_row_offset(n_modes, m_points):
+    n = n_modes
+    terms = tuple(t for t in SPEC3.nonlinear_terms if max(t.n, t.k, t.m) <= n)
+    spec = SystemSpec(n, SPEC3.linear_speeds[:n], SPEC3.dispersions[:n], terms)
+    grid = Grid(-0.25 * m_points, 0.5, m_points, 2e-3)
+    x = grid.nodes()
+    pulses = ((0.0, 1.5, -1.0), (1.0, 1.0, -0.5), (-1.0, 2.0, 0.7))[:n]
+    u0 = np.stack([a * np.maximum(0.0, 1.0 - np.abs(x - c) / w) for c, w, a in pulses])
+    assert assert_advance_matches_roll(u0, spec, grid, 40) is None
+
+
 # coefficients with exact zeros of both signs, which the kernel leaves out
 COEFS = st.sampled_from([0.0, -0.0, 0.3, -0.7, 1.1, 1.5, -0.4, 3.0])
 RANDOM_GRID = Grid(-10.0, 0.25, 80, 1e-3)

@@ -557,6 +557,20 @@ def test_config_and_system_files_share_the_line_reader(tmp_path):
     assert info.value.field == "h"
 
 
+def test_config_and_system_files_may_start_with_a_utf8_byte_order_mark(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(bom + b"h = 0.1\nt_end = 0.01\n")
+    assert load_config(cfg).h == 0.1
+    sysfile = tmp_path / "system.cfg"
+    sysfile.write_bytes(bom + b"n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n")
+    spec = build_system(RunConfig(system=f"custom:{sysfile}"))
+    assert (spec.n_modes, spec.linear_speeds, spec.dispersions) == (1, (0.0,), (-0.25,))
+    # what write_config writes has no mark
+    write_config(load_config(cfg), tmp_path / "out.cfg")
+    assert not (tmp_path / "out.cfg").read_bytes().startswith(bom)
+
+
 @pytest.mark.parametrize("via_cli", [False, True], ids=["run_experiment", "main"])
 def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch, via_cli):
     from ckdv import runner
