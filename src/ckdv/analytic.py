@@ -70,7 +70,7 @@ class StretchedSoliton:
         return self.width_scale / abs(self.soliton.m)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
-        return self.amp_scale * hs_soliton(x / self.width_scale, 0.0, self.soliton)
+        return self.amp_scale * self.soliton.sample(x / self.width_scale)
 
 
 @dataclass(frozen=True)

@@ -192,16 +192,14 @@ def make_perturbed_hs(d1_new: float) -> SystemSpec:
 
 
 def make_hs_first_kdv() -> SystemSpec:
-    """The isolated first Hirota-Satsuma equation as a single-mode KdV.
+    """The isolated first Hirota-Satsuma equation as a single-mode KdV: mode 1
+    of :func:`make_hirota_satsuma` without its coupling to mode 2.
 
         theta_t - 0.25 theta_xxx - 1.5 theta theta_x = 0
     """
-    return SystemSpec(
-        n_modes=1,
-        linear_speeds=(0.0,),
-        dispersions=(-0.25,),
-        nonlinear_terms=(NonlinearTerm(n=1, k=1, m=1, coef=-1.5),),
-    )
+    hs = make_hirota_satsuma()
+    terms = tuple(t for t in hs.nonlinear_terms if t.n == t.k == t.m == 1)
+    return SystemSpec(1, hs.linear_speeds[:1], hs.dispersions[:1], terms)
 
 
 def effective_dispersion(spec: SystemSpec, h: float) -> np.ndarray:

@@ -40,7 +40,7 @@ from .model import (
     make_hs_first_kdv,
     make_perturbed_hs,
 )
-from .stepper import RULE_DISPERSIVE_CFL, StepPlan, advance, advise_tau
+from .stepper import DEFAULT_SAFETY, RULE_DISPERSIVE_CFL, StepPlan, advance, advise_tau
 
 SYSTEM_HS = "hirota_satsuma"
 SYSTEM_PERTURBED = "perturbed_hs"
@@ -69,7 +69,7 @@ class RunConfig:
     h: float = 0.05
     tau: float | None = None
     tau_rule: str = RULE_DISPERSIVE_CFL
-    safety: float = 0.25
+    safety: float = DEFAULT_SAFETY
     t_end: float = 1.0
     snapshot_every: float | None = None
     ic_kind: str = IC_SOLITON
@@ -172,7 +172,7 @@ def build_system(config: RunConfig) -> SystemSpec:
     if config.system == SYSTEM_KDV1:
         return make_hs_first_kdv()
     if config.system.startswith(CUSTOM_PREFIX):
-        return _parse_system_file(Path(config.system[len(CUSTOM_PREFIX):]))
+        return _parse_system_file(Path(config.system[len(CUSTOM_PREFIX):].strip()))
     raise ConfigError(
         f"unknown system '{config.system}' (expected {SYSTEM_HS}, {SYSTEM_PERTURBED}, "
         f"{SYSTEM_KDV1} or {CUSTOM_PREFIX}<path>)",
@@ -463,8 +463,8 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
 
     Level k runs ``RunConfig(h=level_h(h_coarsest, k), t_end=t_end)``: the
     m = 1, d = 0 soliton on the Hirota-Satsuma system, measured against
-    its closed form. The ``dispersive_cfl`` step at safety 0.25 keeps the
-    tau error term subdominant to the h^2 one at every level.
+    its closed form. The ``dispersive_cfl`` step at the default safety keeps
+    the tau error term subdominant to the h^2 one at every level.
     """
     def level(k: int) -> RunConfig:
         return RunConfig(h=level_h(h_coarsest, k), t_end=t_end)
@@ -512,6 +512,11 @@ class Preset:
 
 def list_presets() -> tuple[Preset, ...]:
     """Preset experiments; parameter fills are recorded choices, see README."""
+    decay = RunConfig(
+        ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
+        x_min=-150.0, x_max=60.0, h=0.1,
+        t_end=3.0, snapshot_every=0.5,
+    )
     return (
         Preset("fig1", "soliton profiles for m in {0.5, 1, 1.5} at d=0 (oracle plots only)", None),
         Preset("fig2", "soliton profiles for d in {0, 0.5} at m=1 (oracle plots only)", None),
@@ -524,22 +529,13 @@ def list_presets() -> tuple[Preset, ...]:
             "fig4a",
             "multi-soliton decay of the isolated first equation (N=1 reduction), "
             "stretched initial data (10x width, 2x amplitude)",
-            RunConfig(
-                system=SYSTEM_KDV1,
-                ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
-                x_min=-150.0, x_max=60.0, h=0.1,
-                t_end=3.0, snapshot_every=0.5,
-            ),
+            dataclasses.replace(decay, system=SYSTEM_KDV1),
         ),
         Preset(
             "fig4b",
             "multi-soliton decay of the full two-mode system, stretched initial data "
             "(soliton count estimated by peak detection)",
-            RunConfig(
-                ic_kind=IC_STRETCHED, width_scale=10.0, amp_scale=2.0,
-                x_min=-150.0, x_max=60.0, h=0.1,
-                t_end=3.0, snapshot_every=0.5,
-            ),
+            decay,
         ),
         Preset(
             "fig5",
@@ -569,15 +565,15 @@ def get_preset(name: str) -> Preset:
 
 def _write_oracle_profiles(name: str, out_dir: Path) -> list[Path]:
     sweeps = {
-        "fig1": [(m, 0.0) for m in (0.5, 1.0, 1.5)],
-        "fig2": [(1.0, d) for d in (0.0, 0.5)],
+        "fig1": [RunConfig(m=m) for m in (0.5, 1.0, 1.5)],
+        "fig2": [RunConfig(d=d) for d in (0.0, 0.5)],
     }
     _make_output_dir(out_dir)
     paths = []
-    for m, d in sweeps[name]:
-        # the initial sample of the default run with this (m, d)
-        *_, grid, state0, _ = _resolve(RunConfig(m=m, d=d))
-        path = out_dir / f"oracle_m{m:g}_d{d:g}.csv"
+    for config in sweeps[name]:
+        # the initial sample of the default run with another m or d
+        *_, grid, state0, _ = _resolve(config)
+        path = out_dir / f"oracle_m{config.m:g}_d{config.d:g}.csv"
         _write_snapshot(path, _snapshot_template(grid.nodes(), state0.n_modes), state0)
         paths.append(path)
     return paths

@@ -43,6 +43,7 @@ RULE_PAPER_STRICT = "paper_strict"
 RULE_DISPERSIVE_CFL = "dispersive_cfl"
 RULE_MANUAL = "manual"
 RULES = (RULE_PAPER_STRICT, RULE_DISPERSIVE_CFL, RULE_MANUAL)
+DEFAULT_SAFETY = 0.25
 
 # A layer has blown up when its max-norm exceeds this factor times the
 # max-norm of the state the stepping call started from (or contains
@@ -267,15 +268,15 @@ def advise_tau(
     h: float,
     t_end: float,
     rule: str = RULE_DISPERSIVE_CFL,
-    safety: float = 0.25,
+    safety: float = DEFAULT_SAFETY,
     tau: float | None = None,
 ) -> StepPlan:
     """Pick a stable time step for the given grid spacing and run length.
 
     ``paper_strict`` solves the conservative bound
     ``tau * (3 e_max / h^3)^2 * t_end = safety``; ``dispersive_cfl`` is
-    ``tau = safety * h^3 / (3 e_max)`` (default safety 0.25), stable only for
-    bounded step counts (module docstring); ``manual`` passes ``tau`` through.
+    ``tau = safety * h^3 / (3 e_max)``, stable only for bounded step counts
+    (module docstring); ``manual`` passes ``tau`` through.
     Non-manual rules reject pure-advection systems (e_max = 0). A given
     ``tau``, like the one a rule computes, must be finite and positive.
     """

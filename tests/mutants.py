@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+MODEL = "src/ckdv/model.py"
 STEPPER = "src/ckdv/stepper.py"
 RUNNER = "src/ckdv/runner.py"
 
@@ -230,6 +231,33 @@ MUTANTS = (
         "for k in (n_levels - 1,):",
         (
             "tests/test_cli.py::test_converge_with_a_faulty_coarsest_level_samples_no_finer_level",
+        ),
+    ),
+    Mutant(
+        "fig4a keeps the full system",
+        RUNNER,
+        "dataclasses.replace(decay, system=SYSTEM_KDV1)",
+        "decay",
+        (
+            "tests/test_runner.py::test_preset_fig4a_is_oracle_free_reduction",
+        ),
+    ),
+    Mutant(
+        "N=1 reduction takes mode 2's dispersion",
+        MODEL,
+        "hs.dispersions[:1]",
+        "hs.dispersions[1:]",
+        (
+            "tests/test_cli.py::test_advise_prints_the_plan_the_config_runs_with[hs_kdv1]",
+        ),
+    ),
+    Mutant(
+        "default safety doubled",
+        STEPPER,
+        "DEFAULT_SAFETY = 0.25\n",
+        "DEFAULT_SAFETY = 0.5\n",
+        (
+            "tests/test_cli.py::test_advise_prints_the_plan_the_config_runs_with[dispersive_cfl]",
         ),
     ),
 )

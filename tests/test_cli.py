@@ -26,10 +26,18 @@ NODES_STRADDLE_0 = "h = 0.1\nx_min = -20.05\nx_max = 19.95\n"
 
 def test_presets_listing(capsys):
     assert main(["presets"]) == 0
-    out = capsys.readouterr().out
-    for name in ("fig1", "fig3", "fig4a", "fig6"):
-        assert name in out
-    assert "oracle" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "fig1     [oracle] soliton profiles for m in {0.5, 1, 1.5} at d=0 (oracle plots only)",
+        "fig2     [oracle] soliton profiles for d in {0, 0.5} at m=1 (oracle plots only)",
+        "fig3     [simulation, percent-error trace] soliton accuracy run m=1 d=0 to t=1 "
+        "with percent-error trace",
+        "fig4a    [simulation] multi-soliton decay of the isolated first equation "
+        "(N=1 reduction), stretched initial data (10x width, 2x amplitude)",
+        "fig4b    [simulation] multi-soliton decay of the full two-mode system, "
+        "stretched initial data (soliton count estimated by peak detection)",
+        "fig5     [simulation] slightly nonintegrable system (d1=-0.2) fed the integrable soliton",
+        "fig6     [simulation] non-smooth (triangle pulse) initial data on the two-mode system",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckdv.errors import ConfigError
-from ckdv.model import make_hirota_satsuma, make_perturbed_hs
+from ckdv.model import make_hirota_satsuma, make_hs_first_kdv, make_perturbed_hs
 from ckdv.runner import (
     RunConfig,
     _resolve,
@@ -249,6 +250,14 @@ def test_custom_system_file(tmp_path):
     assert build_system(config) == make_hirota_satsuma()
 
 
+def test_custom_system_path_may_follow_spaces_after_the_prefix(tmp_path):
+    sysfile = tmp_path / "kdv.sys"
+    sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n")
+    config = RunConfig(system=f"custom:  {sysfile}", h=0.1, t_end=0.05)
+    assert build_system(validate_config(config)) == make_hs_first_kdv()
+    assert load_config(write_config(config, tmp_path / "rt.cfg")) == validate_config(config)
+
+
 def test_custom_system_file_faults(tmp_path):
     config = RunConfig(system=f"custom:{tmp_path / 'missing.cfg'}")
     with pytest.raises(ConfigError) as info:
@@ -467,6 +476,12 @@ def test_preset_fig4a_is_oracle_free_reduction():
     preset = get_preset("fig4a")
     assert preset.oracle is False
     assert preset.config.system == "hs_kdv1"
+
+
+def test_preset_fig4a_runs_fig4b_data_on_the_n1_reduction():
+    fig4b = get_preset("fig4b").config
+    assert fig4b.system == "hirota_satsuma"
+    assert get_preset("fig4a").config == dataclasses.replace(fig4b, system="hs_kdv1")
 
 
 def test_preset_fig6_uses_triangle_pulse():
