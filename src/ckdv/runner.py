@@ -317,49 +317,39 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
         ):
             raise ConfigError(f"{key} = {value!r} cannot be written as one config line", field=key)
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    _write_csv(path, ["\n".join(lines) + "\n"], field=None)
+    _write_csv(path, "\n".join(lines) + "\n", field=None)
     return path
 
 
-# rows per text block of a snapshot file: one ``%`` and one write per block
-_BLOCK_ROWS = 1024
-
-
-def _write_csv(path: Path, blocks, field: str | None = "output_dir") -> None:
-    """Write each text block of ``blocks`` to ``path`` in UTF-8 with one binary
-    write; only one block's text need exist at a time. A file that cannot be
-    written (a NUL in ``path`` included) is a fault of ``field``."""
+def _write_csv(path: Path, text: str, field: str | None = "output_dir") -> None:
+    """Write ``text`` to ``path`` in UTF-8 with one binary write. A file that
+    cannot be written (a NUL in ``path`` included) is a fault of ``field``."""
     try:
         with open(path, "wb") as fh:
-            for block in blocks:
-                fh.write(block.encode())
+            fh.write(text.encode())
     except (OSError, ValueError) as exc:
         msg = f"cannot write {path}: {getattr(exc, 'strerror', exc)}"
         raise ConfigError(msg, field=field) from exc
 
 
-def _snapshot_template(x: np.ndarray, n_modes: int) -> list[str]:
-    """A snapshot's text at nodes ``x`` in blocks of ``_BLOCK_ROWS`` rows, built
-    once per run: the header line, then each node's ``%.17g`` text and a
-    ``%.17g`` for each of ``n_modes`` values. ``%.17g`` formats a float exactly
-    as ``format(v, ".17g")`` does, which round-trips every float64."""
+def _snapshot_template(x: np.ndarray, n_modes: int) -> str:
+    """A snapshot's text at nodes ``x``, built once per run: the header line,
+    then each node's ``%.17g`` text and a ``%.17g`` for each of ``n_modes``
+    values. ``%.17g`` formats a float exactly as ``format(v, ".17g")`` does,
+    which round-trips every float64."""
+    header = ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\n"
     tail = ",%.17g" * n_modes + "\n"
-    rows = ["%.17g" % v + tail for v in x.tolist()]
-    rows[0] = ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\n" + rows[0]
-    return ["".join(rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS)]
+    return header + "".join(["%.17g" % v + tail for v in x.tolist()])
 
 
-def _write_snapshot(path: Path, template: list[str], state: FieldSet) -> None:
-    """Write one layer, each block of ``template`` (from :func:`_snapshot_template`)
-    filled by one ``%`` with its rows' values."""
-    values, step = state.values.T.ravel().tolist(), state.n_modes * _BLOCK_ROWS
-    blocks = (block % tuple(values[k * step:(k + 1) * step]) for k, block in enumerate(template))
-    _write_csv(path, blocks)
+def _write_snapshot(path: Path, template: str, state: FieldSet) -> None:
+    """Write one layer: ``template`` (from :func:`_snapshot_template`) filled by one ``%``."""
+    _write_csv(path, template % tuple(state.values.T.ravel().tolist()))
 
 
 def _write_table(path: Path, header: list[str], row_template: str, rows) -> None:
     """Write the ``header`` line, then ``row_template % row`` for each row."""
-    _write_csv(path, [",".join(header) + "\n" + "".join(row_template % row for row in rows)])
+    _write_csv(path, ",".join(header) + "\n" + "".join(row_template % row for row in rows))
 
 
 def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
@@ -432,7 +422,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     report = RunReport([], DiagnosticTrace(), None, plan, out_dir)
     snapshots, trace = report.snapshots, report.trace
 
-    snap_steps = _snapshot_steps(config.snapshot_every / grid.tau, n_steps)
+    snap_steps = _snapshot_steps(config.snapshot_every / plan.tau, n_steps)
     next_snap = 0
 
     def observer(step: int, time: float, values: np.ndarray) -> None:
@@ -447,7 +437,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     observer(0, state0.time, state0.values)  # the start state is snapshot 0
     trace_path, report_path = out_dir / "trace.csv", out_dir / "report.csv"
     for path in (trace_path, report_path):
-        _write_csv(path, ())
+        _write_csv(path, "")
     try:
         advance(state0, spec, grid, n_steps, observer)
     except BlowUpError as exc:

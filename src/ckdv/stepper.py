@@ -221,6 +221,7 @@ class _Kernel:
         return tuple(ops)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def advance(
     state: FieldSet,
     spec: SystemSpec,
@@ -237,6 +238,7 @@ def advance(
     checked: a layer that goes non-finite, or whose max-norm exceeds 1e6
     times that of ``state``, raises :class:`BlowUpError` carrying the step
     index. A sum-of-squares screen clears most layers without the max-norm.
+    numpy's overflow and invalid warnings are off (observer included): the check reports them.
     A ``state`` of the wrong shape or with non-finite entries is a :class:`ValueError`.
     """
     if n_steps < 1:

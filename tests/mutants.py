@@ -27,6 +27,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+ANALYTIC = "src/ckdv/analytic.py"
+CLI = "src/ckdv/cli.py"
+DIAGNOSTICS = "src/ckdv/diagnostics.py"
 MODEL = "src/ckdv/model.py"
 STEPPER = "src/ckdv/stepper.py"
 RUNNER = "src/ckdv/runner.py"
@@ -104,6 +107,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "blow-up limit 1e5",
+        STEPPER,
+        "BLOWUP_FACTOR = 1.0e6\n",
+        "BLOWUP_FACTOR = 1.0e5\n",
+        (
+            "tests/test_kernel.py::test_blow_up_limit_is_a_million_times_the_start_max_norm",
+        ),
+    ),
+    Mutant(
+        "advance warns on overflow",
+        STEPPER,
+        '@np.errstate(over="ignore", invalid="ignore")\ndef advance(',
+        "def advance(",
+        (
+            "tests/test_kernel.py::test_an_overflow_is_reported_by_the_blow_up_check_alone",
+        ),
+    ),
+    Mutant(
         "intermediate layer unchecked",
         STEPPER,
         "        kern.check(half, j, t)\n",
@@ -131,28 +152,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "block slice one value long",
-        RUNNER,
-        "tuple(values[k * step:(k + 1) * step])",
-        "tuple(values[k * step:(k + 1) * step + 1])",
-        (
-            "tests/test_output_format.py::test_snapshot_bytes_across_block_edges_match_csv_transcription",
-        ),
-    ),
-    Mutant(
-        "block values stepped by _BLOCK_ROWS - 1 rows",
-        RUNNER,
-        ", state.n_modes * _BLOCK_ROWS\n",
-        ", state.n_modes * (_BLOCK_ROWS - 1)\n",
-        (
-            "tests/test_output_format.py::test_snapshot_bytes_across_block_edges_match_csv_transcription",
-        ),
-    ),
-    Mutant(
         "snapshot header on the last row",
         RUNNER,
-        '    rows[0] = ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\\n" + rows[0]\n',
-        '    rows[-1] += ",".join(["x"] + [f"theta_{n + 1}" for n in range(n_modes)]) + "\\n"\n',
+        '    return header + "".join(["%.17g" % v + tail for v in x.tolist()])\n',
+        '    return "".join(["%.17g" % v + tail for v in x.tolist()]) + header\n',
         (
             "tests/test_output_format.py::test_snapshot_golden_bytes_one_mode",
             "tests/test_output_format.py::test_snapshot_golden_bytes_three_modes",
@@ -258,6 +261,114 @@ MUTANTS = (
         "DEFAULT_SAFETY = 0.5\n",
         (
             "tests/test_cli.py::test_advise_prints_the_plan_the_config_runs_with[dispersive_cfl]",
+        ),
+    ),
+    Mutant(
+        "soliton phase with -m*x",
+        ANALYTIC,
+        "lam1 = 0.5 * m**3 * t + m * x\n",
+        "lam1 = 0.5 * m**3 * t - m * x\n",
+        (
+            "tests/test_acceptance.py::test_criterion_9_pde_residual",
+        ),
+    ),
+    Mutant(
+        "theta_2 scaled by sqrt(2 + d^2)",
+        ANALYTIC,
+        "np.sqrt(2.0 + 2.0 * d * d)",
+        "np.sqrt(2.0 + d * d)",
+        (
+            "tests/test_analytic.py::test_soliton_origin_values_d_half",
+        ),
+    ),
+    Mutant(
+        "Q with + theta_2^2",
+        DIAGNOSTICS,
+        "0.5 * th1 * th1 - th2 * th2",
+        "0.5 * th1 * th1 + th2 * th2",
+        (
+            "tests/test_acceptance.py::test_criterion_4_hs_invariant",
+        ),
+    ),
+    Mutant(
+        "percent error not divided by the amplitude",
+        DIAGNOSTICS,
+        "/ amplitude * 100.0",
+        "* 100.0",
+        (
+            "tests/test_diagnostics.py::test_percent_error_uniform_deviation",
+        ),
+    ),
+    Mutant(
+        "mode mass without h",
+        DIAGNOSTICS,
+        "return np.sum(state.values, axis=1) * h\n",
+        "return np.sum(state.values, axis=1)\n",
+        (
+            "tests/test_diagnostics.py::test_trace_records_three_modes_without_q",
+        ),
+    ),
+    Mutant(
+        "trace L2 without h",
+        DIAGNOSTICS,
+        "l2 = np.sqrt(np.sum(values * values, axis=1) * h)",
+        "l2 = np.sqrt(np.sum(values * values, axis=1))",
+        (
+            "tests/test_diagnostics.py::test_trace_records_three_modes_without_q",
+        ),
+    ),
+    Mutant(
+        "percent error against the closed form at t = 0",
+        DIAGNOSTICS,
+        "oracle_eval(numeric.time)",
+        "oracle_eval(0.0)",
+        (
+            "tests/test_acceptance.py::test_criterion_1_soliton_accuracy",
+        ),
+    ),
+    Mutant(
+        "blow-up exits 1",
+        CLI,
+        "return 2 if isinstance(exc, BlowUpError) else 1\n",
+        "return 1\n",
+        (
+            "tests/test_cli.py::test_converge_blow_up_exits_2",
+        ),
+    ),
+    Mutant(
+        "blown-up run exits 0",
+        CLI,
+        'return 0 if report.outcome == "completed" else 2\n',
+        "return 0\n",
+        (
+            "tests/test_cli.py::test_run_blow_up_exit_code",
+        ),
+    ),
+    Mutant(
+        "grid correction c h^2 / 3",
+        MODEL,
+        "c * h * h / 6.0",
+        "c * h * h / 3.0",
+        (
+            "tests/test_model.py::test_effective_dispersion_advection_correction",
+        ),
+    ),
+    Mutant(
+        "paper_strict with 3 e_max^2",
+        STEPPER,
+        "9.0 * e_max**2",
+        "3.0 * e_max**2",
+        (
+            "tests/test_stepper.py::test_advise_tau_paper_strict_arithmetic",
+        ),
+    ),
+    Mutant(
+        "oracle attached to stretched data",
+        RUNNER,
+        "config.ic_kind == IC_SOLITON",
+        "config.ic_kind != IC_TRIANGLE",
+        (
+            "tests/test_cli.py::test_presets_listing",
         ),
     ),
 )

@@ -1,6 +1,7 @@
 """Bitwise checks of the stepping kernel against direct transcriptions of the scheme."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,17 @@ def test_single_steps_share_the_max_norm_blow_up_rule():
     assert info.value.time == pytest.approx(grid.tau)
 
 
+def test_an_overflow_is_reported_by_the_blow_up_check_alone():
+    # u_k * D1_m overflows in the first stage; the check sees the inf it
+    # leaves in that stage's layer, so a numpy warning would add nothing
+    values = np.tile([1e200, 1e200, -1e200, -1e200], (2, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as info:
+            advance(FieldSet(values, 0.0), make_hirota_satsuma(), Grid(0.0, 0.5, 32, 1e-3), 1)
+    assert info.value.step == 1
+
+
 def test_wrap_matches_two_slice_copies_bitwise():
     layer = _Layer(3, 7)
     rng = np.random.default_rng(5)
@@ -365,6 +377,19 @@ def test_check_draws_the_line_at_the_limit_itself(scale):
     layer.wrap()
     kern.check(layer, 1, 0.0)
     layer.values[1, 5] = -np.nextafter(limit, math.inf)
+    layer.wrap()
+    with pytest.raises(BlowUpError):
+        kern.check(layer, 1, 0.0)
+
+
+def test_blow_up_limit_is_a_million_times_the_start_max_norm():
+    # the factor as a literal: every other limit here moves with BLOWUP_FACTOR
+    kern = _Kernel(make_hirota_satsuma(), CHECK_GRID, np.full((2, 8), 0.5))
+    layer = kern.layers[1]
+    layer.values[...] = 2e5 * 0.5
+    layer.wrap()
+    kern.check(layer, 1, 0.0)
+    layer.values[...] = 2e6 * 0.5
     layer.wrap()
     with pytest.raises(BlowUpError):
         kern.check(layer, 1, 0.0)

@@ -3,7 +3,7 @@
 Every number is written as ``%.17g``. The golden files pin the spellings
 of the awkward values (``-0``, ``nan``, ``inf``, the smallest subnormal);
 the property compares the writers with a ``csv.writer`` transcription,
-also for snapshots that span several text blocks of the writer.
+also for snapshots of more than a thousand rows.
 Two short runs, one completed and one blown up, pin ``report.csv``.
 """
 
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from ckdv.diagnostics import DiagnosticTrace
 from ckdv.model import FieldSet
 from ckdv.runner import (
-    _BLOCK_ROWS,
     RunConfig,
     _snapshot_template,
     _write_snapshot,
@@ -142,9 +141,9 @@ def test_snapshot_bytes_match_csv_transcription(tmp_path_factory, data):
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
-@pytest.mark.parametrize(
-    "m_points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
-)
+# the sizes around the edges of 1,024-row blocks, where a writer that split
+# the text into blocks would cut it
+@pytest.mark.parametrize("m_points", [1023, 1024, 1025, 2049])
 def test_snapshot_bytes_across_block_edges_match_csv_transcription(tmp_path, n_modes, m_points):
     # SPECIAL cycled, each scaled by its row number so that no two rows match
     x = [0.1 * i - 60.0 for i in range(m_points)]
