@@ -87,6 +87,9 @@ class DiagnosticTrace:
 
     columns: dict[str, list[float]] = field(default_factory=dict)
 
+    # a state near the float range records inf or nan, as the scheme's
+    # blow-up check reports it: numpy's overflow and invalid warnings add nothing
+    @np.errstate(over="ignore", invalid="ignore")
     def record(
         self,
         state: FieldSet,

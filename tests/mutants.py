@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ANALYTIC = "src/ckdv/analytic.py"
 CLI = "src/ckdv/cli.py"
 DIAGNOSTICS = "src/ckdv/diagnostics.py"
+ERRORS = "src/ckdv/errors.py"
 MODEL = "src/ckdv/model.py"
 STEPPER = "src/ckdv/stepper.py"
 RUNNER = "src/ckdv/runner.py"
@@ -56,8 +57,8 @@ MUTANTS = (
     Mutant(
         "-0 accumulator",
         STEPPER,
-        "zero_row, self.term = _Layer(1, m).rows[0], _Layer(1, m).rows[0]",
-        "zero_row, self.term = -_Layer(1, m).rows[0], _Layer(1, m).rows[0]",
+        "self.acc, self.zero = acc.core, _Layer(n, m).core",
+        "self.acc, self.zero = acc.core, -_Layer(n, m).core",
         (
             "tests/test_kernel.py::test_three_mode_advance_matches_roll_transcription_bitwise",
         ),
@@ -127,10 +128,19 @@ MUTANTS = (
     Mutant(
         "intermediate layer unchecked",
         STEPPER,
-        "        kern.check(half, j, t)\n",
+        "        self.check(self.layers[1], step, time)\n",
         "",
         (
             "tests/test_kernel.py::test_half_layer_check_catches_a_linear_blow_up_a_step_before_the_full_layer",
+        ),
+    ),
+    Mutant(
+        "screen reads the current layer only",
+        STEPPER,
+        "        pair = self.pair\n",
+        "        pair = self.layers[0].flat\n",
+        (
+            "tests/test_kernel.py::test_step_check_raises_exactly_where_either_layer_breaks_the_max_norm_rule",
         ),
     ),
     Mutant(
@@ -145,8 +155,8 @@ MUTANTS = (
     Mutant(
         "kernel buffers at malloc's alignment",
         STEPPER,
-        "self.flat = raw[skip:skip + n_modes * w]",
-        "self.flat = raw[:n_modes * w]",
+        "return raw[skip:skip + size]",
+        "return raw[:size]",
         (
             "tests/test_kernel.py::test_every_kernel_buffer_starts_its_first_node_on_a_64_byte_boundary",
         ),
@@ -318,6 +328,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "trace record warns on overflow",
+        DIAGNOSTICS,
+        '    @np.errstate(over="ignore", invalid="ignore")\n    def record(',
+        "    def record(",
+        (
+            "tests/test_cli.py::test_an_overflowing_start_state_exits_2_without_numpy_warnings",
+        ),
+    ),
+    Mutant(
         "percent error against the closed form at t = 0",
         DIAGNOSTICS,
         "oracle_eval(numeric.time)",
@@ -369,6 +388,15 @@ MUTANTS = (
         "config.ic_kind != IC_TRIANGLE",
         (
             "tests/test_cli.py::test_presets_listing",
+        ),
+    ),
+    Mutant(
+        "zero counted as positive",
+        ERRORS,
+        "    if value <= 0:\n",
+        "    if value < 0:\n",
+        (
+            "tests/test_cli.py::test_config_faults_exit_1_naming_the_field[argv30-None-h must be positive, got 0.0]",
         ),
     ),
 )

@@ -112,6 +112,27 @@ def test_warning_prints_as_one_line(tmp_path):
     )
 
 
+def test_an_overflowing_start_state_exits_2_without_numpy_warnings(tmp_path):
+    # a child process, as above. The start state's squares overflow in the
+    # diagnostics of snapshot 0 and its first stage in the stepper; the
+    # trace records inf and nan, and the blow-up check alone reports it
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "ic_kind = triangle_pulse\namplitude = 1e200\nh = 0.1\nt_end = 0.01\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ckdv.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ckdv.cli", "run", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 2, result.stderr
+    assert [line for line in result.stderr.splitlines() if line.startswith("warning:")] == []
+    assert (tmp_path / "out" / "trace.csv").read_text().splitlines()[1] == (
+        "0,inf,inf,1.9999999999999999e+200,1.9999999999999999e+200,nan"
+    )
+
+
 def test_run_blow_up_exit_code(tmp_path, capsys):
     cfg = tmp_path / "blow.cfg"
     cfg.write_text(

@@ -152,6 +152,35 @@ def test_hirota_satsuma_advance_matches_roll_transcription_bitwise():
     assert assert_advance_matches_roll(triangles()[:2], hs, GRID3, 50) is None
 
 
+def test_empty_and_trimmed_term_rounds_keep_advance_equal_to_the_roll_transcription():
+    # terms per row 3, 0, 2: mode 2 has none and c = 0, so its slots in
+    # rounds 0 and 1 stay empty, and round 2 covers mode 1's row alone
+    spec = SystemSpec(
+        3,
+        (-0.3, 0.0, 1.1),
+        (-0.25, 0.5, 0.2),
+        (
+            NonlinearTerm(1, 1, 1, 1.5),
+            NonlinearTerm(3, 2, 1, 0.25),
+            NonlinearTerm(1, 3, 2, -0.4),
+        ),
+    )
+    assert assert_advance_matches_roll(triangles(), spec, GRID3, 50) is None
+
+
+def test_one_mode_advection_alone_matches_the_roll_transcription():
+    spec = SystemSpec(1, (0.7,), (0.0,), ())
+    assert assert_advance_matches_roll(triangles()[:1], spec, GRID3, 50) is None
+
+
+def test_a_hirota_satsuma_stage_is_15_ufunc_calls():
+    # D1 and D3 in 6, u_k * D1_m into 3 slots, e and the coefficients in 1,
+    # the two rounds of sums in 2, then acc + e*D3, * dt and base - dt*R
+    kern = _Kernel(make_hirota_satsuma(), GRID3, np.ones((2, GRID3.m_points)))
+    cur, half = kern.layers
+    assert len(kern.program(cur, cur, np.array(0.5), half)) == 15
+
+
 # D1 and D3 share one buffer of 2N padded rows; D3's first node sits n*(m+4)
 # floats after D1's, so these shapes put it at every residue 0, 2, 4, 5, 6 and 7
 # mod 8 floats, on the 64-byte line and off it
@@ -339,31 +368,53 @@ def layers_around(limit: float):
     )
 
 
-@settings(deadline=None, max_examples=400)
-@given(scale=st.sampled_from(START_SCALES), data=st.data())
-def test_screened_check_raises_exactly_where_the_max_norm_rule_does(scale, data):
-    hs = make_hirota_satsuma()
+def check_kernel(scale: float):
+    """A Hirota-Satsuma kernel on ``CHECK_GRID`` from a start of max-norm ``scale``, and its limit."""
     start = np.full((2, 8), scale)
     start[1, 3] = -scale
-    kern = _Kernel(hs, CHECK_GRID, start)
     initial_max = float(np.max(np.abs(start)))
-    limit = BLOWUP_FACTOR * initial_max if initial_max > 0 else math.inf
+    return _Kernel(make_hirota_satsuma(), CHECK_GRID, start), (
+        BLOWUP_FACTOR * initial_max if initial_max > 0 else math.inf
+    )
+
+
+def fill_drawn(layer: _Layer, data, limit: float) -> bool:
+    """Fill ``layer`` with a draw of ``layers_around(limit)``; whether it breaks the max-norm rule."""
     values, edits = data.draw(layers_around(limit))
     for idx, value in edits:
         values[idx] = value
-    layer = kern.layers[1]
     layer.values[...] = np.reshape(values, (2, 8))
     layer.wrap()
     amax = float(np.max(np.abs(layer.values)))
-    expected = not amax <= limit or not math.isfinite(amax)
+    return not amax <= limit or not math.isfinite(amax)
+
+
+def raises_blow_up(check, *args) -> bool:
     try:
         with np.errstate(all="raise"):  # no warning either, even where the sum overflows
-            kern.check(layer, 1, 0.0)
+            check(*args)
     except BlowUpError:
-        raised = True
-    else:
-        raised = False
-    assert raised == expected
+        return True
+    return False
+
+
+@settings(deadline=None, max_examples=400)
+@given(scale=st.sampled_from(START_SCALES), data=st.data())
+def test_screened_check_raises_exactly_where_the_max_norm_rule_does(scale, data):
+    kern, limit = check_kernel(scale)
+    layer = kern.layers[1]
+    expected = fill_drawn(layer, data, limit)
+    assert raises_blow_up(kern.check, layer, 1, 0.0) == expected
+
+
+@settings(deadline=None, max_examples=400)
+@given(scale=st.sampled_from(START_SCALES), data=st.data())
+def test_step_check_raises_exactly_where_either_layer_breaks_the_max_norm_rule(scale, data):
+    # one screen reads both layers; the intermediate one is drawn first
+    kern, limit = check_kernel(scale)
+    cur, half = kern.layers
+    expected = [fill_drawn(half, data, limit), fill_drawn(cur, data, limit)]
+    assert raises_blow_up(kern.check_step, 1, 0.0) == any(expected)
 
 
 @pytest.mark.parametrize("scale", [s for s in START_SCALES if s > 0])
@@ -402,7 +453,7 @@ def test_blow_up_limit_is_a_million_times_the_start_max_norm():
 def test_every_kernel_buffer_starts_its_first_node_on_a_64_byte_boundary(grid, dummy_floats):
     dummy = np.ones(dummy_floats)  # alive until the test returns
     kern = _Kernel(make_hirota_satsuma(), grid, np.ones((2, grid.m_points)))
-    firsts = [layer.values for layer in kern.layers]
-    firsts += [kern.e, kern.d1, kern.d3, kern.acc, kern.term, kern.twice[2:], kern.magnitude[2:]]
-    firsts.append(kern.terms[0][3])  # the zero row the first term is added to
+    firsts = [layer.values for layer in kern.layers]  # one allocation, padded between
+    firsts += [kern.d1, kern.d3, kern.mult, kern.acc, kern.zero, kern.twice[2:], kern.magnitude[2:]]
+    firsts += [slots for _, slots in kern.rounds]  # each round's first slot row
     assert [first.ctypes.data % 64 for first in firsts] == [0] * len(firsts)
