@@ -36,7 +36,6 @@ from .analytic import (
 from .diagnostics import (
     ConvergenceReport,
     DiagnosticTrace,
-    count_peaks,
     hs_invariant,
     l2_norm,
     mode_mass,
@@ -86,7 +85,6 @@ __all__ = [
     "ConvergenceReport",
     "DiagnosticTrace",
     "convergence_study",
-    "count_peaks",
     "hs_invariant",
     "l2_norm",
     "mode_mass",

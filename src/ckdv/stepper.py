@@ -126,7 +126,7 @@ class _Kernel:
 
     Holds the two layers (current, intermediate) in one allocation, so one
     screen reads both, and every scratch buffer, so the stage programs and
-    the checks allocate nothing. ``program`` binds a stage's ufunc calls to
+    the check allocate nothing. ``program`` binds a stage's ufunc calls to
     these buffers once, so a step looks nothing up. The scratch buffers are
     ``_Layer``s too and are used over flat ranges of whole padded rows, so
     each operation is one contiguous ufunc over all the rows it covers;
@@ -168,7 +168,7 @@ class _Kernel:
         gap = -n * w % 8
         self.pair = _aligned(2 * n * w + gap)
         self.layers = (_Layer(n, m, self.pair[:n * w]), _Layer(n, m, self.pair[n * w + gap:]))
-        self.two, self.one = np.array(2.0), np.array(1.0)
+        self.two, self.one, self.zero = np.array(2.0), np.array(1.0), np.array(0.0)
         # (k, D1_m row, coef, row added to) per nonzero term: the couplings
         # in spec order, then the advection terms (k is None)
         terms = [(t.k - 1, t.m - 1, t.coef, t.n - 1) for t in spec.nonlinear_terms]
@@ -197,14 +197,14 @@ class _Kernel:
         self.d1, self.d3 = scratch.flat[2:n * w - 2], scratch.flat[n * w + 2:2 * n * w - 2]
         self.scaled, self.mult = scratch.flat[n * w + 2:-2], mult.core  # D3 | slots, and e | coefs
         acc, twice = _Layer(n, m), _Layer(n, m)
-        self.acc, self.zero = acc.core, _Layer(n, m).core
+        self.acc = acc.core
         # (acc over the round's rows, the round's slots), round 0 first
         self.rounds = [
             (acc.flat[2:s * w - 2], scratch.flat[a * w + 2:(a + s) * w - 2])
             for a, s in zip(firsts, spans)
         ]
         self.twice, self.twice_up1, self.twice_dn1 = twice.flat, twice.up1, twice.dn1
-        self.magnitude = _Layer(n, m).flat
+        self.magnitude = _aligned(self.pair.size)
         # the first layer holds the starting state, whose max-norm sets the blow-up limit
         self.layers[0].values[...] = start
         self.layers[0].wrap()
@@ -219,26 +219,18 @@ class _Kernel:
         screen = self.limit * self.limit / 4.0
         self.screen = screen if 2.0**-1022 <= screen < math.inf else None
 
-    def check(self, layer: _Layer, step: int, time: float) -> None:
-        """Raise :class:`BlowUpError` if ``layer`` is non-finite or above the limit."""
-        # ghost cells repeat nodes, so the padded norms are the nodes'; a
-        # NaN sum or max-norm fails its comparison, as non-finite layers must.
-        # vdot, unlike dot, does not warn when the sum overflows to inf
-        flat = layer.flat
-        if self.screen is not None and np.vdot(flat, flat) <= self.screen:
-            return
-        amax = float(np.abs(flat, out=self.magnitude).max())
-        if not (amax <= self.limit) or not math.isfinite(amax):
-            raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
-
-    def check_step(self, step: int, time: float) -> None:
-        """``check`` both layers, the intermediate one first, behind one
-        screen of both: the gap between them holds +0."""
+    def check(self, step: int, time: float) -> None:
+        """Raise :class:`BlowUpError` if either layer is non-finite or above the limit."""
+        # the gap between the layers holds +0 and ghost cells repeat nodes, so
+        # the pair's max-norm is the larger of the layers'; a NaN sum or
+        # max-norm fails its comparison, as non-finite layers must. vdot,
+        # unlike dot, does not warn when the sum overflows to inf
         pair = self.pair
         if self.screen is not None and np.vdot(pair, pair) <= self.screen:
             return
-        self.check(self.layers[1], step, time)
-        self.check(self.layers[0], step, time)
+        amax = float(np.abs(self.pair, out=self.magnitude).max())
+        if not (amax <= self.limit) or not math.isfinite(amax):
+            raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
 
     def program(self, base: _Layer, arg: _Layer, dt: np.ndarray, out: _Layer) -> tuple:
         """The calls ``(f, a, b, o)``, each run as ``f(a, b, o)``, that set ``out``'s
@@ -280,12 +272,11 @@ def advance(
     ``observer(step, time, values)`` is called after each completed step
     with the 1-based step index, its time and the layer: a read-only view,
     valid only during the call (``FieldSet(values, time)`` keeps a copy).
-    Both the intermediate and the completed layer of every step are
-    checked, the intermediate one first: a layer that goes non-finite, or
-    whose max-norm exceeds 1e6 times that of ``state``, raises
-    :class:`BlowUpError` carrying the step index. One sum-of-squares screen
-    of both layers clears most steps without the max-norm; it runs after the
-    full stage, which nothing observes when the intermediate layer fails.
+    A step fails if either of its layers, the intermediate or the completed
+    one, is non-finite or has a max-norm above 1e6 times that of ``state``:
+    it raises :class:`BlowUpError` with the same step index and time
+    whichever layer broke the rule. One sum-of-squares screen of both layers
+    clears most steps without the max-norm.
     numpy's overflow and invalid warnings are off (observer included): the check reports them.
     A ``state`` of the wrong shape or with non-finite entries is a :class:`ValueError`.
     """
@@ -306,7 +297,7 @@ def advance(
         for f, a, b, o in full_ops:
             f(a, b, o)
         cur.wrap()
-        kern.check_step(j, t)
+        kern.check(j, t)
         if observer is not None:
             observer(j, t, cur.view)
     return FieldSet(cur.values, t0 + n_steps * tau)

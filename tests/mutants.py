@@ -31,6 +31,7 @@ ANALYTIC = "src/ckdv/analytic.py"
 CLI = "src/ckdv/cli.py"
 DIAGNOSTICS = "src/ckdv/diagnostics.py"
 ERRORS = "src/ckdv/errors.py"
+INIT = "src/ckdv/__init__.py"
 MODEL = "src/ckdv/model.py"
 STEPPER = "src/ckdv/stepper.py"
 RUNNER = "src/ckdv/runner.py"
@@ -57,8 +58,8 @@ MUTANTS = (
     Mutant(
         "-0 accumulator",
         STEPPER,
-        "self.acc, self.zero = acc.core, _Layer(n, m).core",
-        "self.acc, self.zero = acc.core, -_Layer(n, m).core",
+        "np.array(1.0), np.array(0.0)\n",
+        "np.array(1.0), np.array(-0.0)\n",
         (
             "tests/test_kernel.py::test_three_mode_advance_matches_roll_transcription_bitwise",
         ),
@@ -128,8 +129,8 @@ MUTANTS = (
     Mutant(
         "intermediate layer unchecked",
         STEPPER,
-        "        self.check(self.layers[1], step, time)\n",
-        "",
+        "np.abs(self.pair, out=self.magnitude)",
+        "np.abs(self.layers[0].flat, out=self.magnitude[:self.layers[0].flat.size])",
         (
             "tests/test_kernel.py::test_half_layer_check_catches_a_linear_blow_up_a_step_before_the_full_layer",
         ),
@@ -141,6 +142,15 @@ MUTANTS = (
         "        pair = self.layers[0].flat\n",
         (
             "tests/test_kernel.py::test_step_check_raises_exactly_where_either_layer_breaks_the_max_norm_rule",
+        ),
+    ),
+    Mutant(
+        "check allocates",
+        STEPPER,
+        "np.abs(self.pair, out=self.magnitude)",
+        "np.abs(self.pair)",
+        (
+            "tests/test_kernel.py::test_a_step_allocates_no_layer_sized_array[1e+200]",
         ),
     ),
     Mutant(
@@ -388,6 +398,15 @@ MUTANTS = (
         "config.ic_kind != IC_TRIANGLE",
         (
             "tests/test_cli.py::test_presets_listing",
+        ),
+    ),
+    Mutant(
+        "imported name left out of __all__",
+        INIT,
+        '    "l2_norm",\n',
+        "",
+        (
+            "tests/test_package.py::test_all_names_every_public_export_once",
         ),
     ),
     Mutant(

@@ -1,6 +1,7 @@
 """Bitwise checks of the stepping kernel against direct transcriptions of the scheme."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_half_layer_check_catches_a_linear_blow_up_a_step_before_the_full_layer(
         advance(FieldSet(u0, 0.0), spec, grid, 1000)
     assert info.value.step == expected
     # the completed layer of that step is still inside the limit: only the
-    # intermediate layer's check stops the run there
+    # intermediate layer breaks the rule there
     u = layers[-1]
     full = u - grid.tau * roll_rhs(u - (0.5 * grid.tau) * roll_rhs(u, spec, h), spec, h)
     assert np.max(np.abs(full)) <= BLOWUP_FACTOR * np.max(np.abs(u0))
@@ -401,10 +402,10 @@ def raises_blow_up(check, *args) -> bool:
 @settings(deadline=None, max_examples=400)
 @given(scale=st.sampled_from(START_SCALES), data=st.data())
 def test_screened_check_raises_exactly_where_the_max_norm_rule_does(scale, data):
+    # the current layer keeps the start state, inside the limit
     kern, limit = check_kernel(scale)
-    layer = kern.layers[1]
-    expected = fill_drawn(layer, data, limit)
-    assert raises_blow_up(kern.check, layer, 1, 0.0) == expected
+    expected = fill_drawn(kern.layers[1], data, limit)
+    assert raises_blow_up(kern.check, 1, 0.0) == expected
 
 
 @settings(deadline=None, max_examples=400)
@@ -414,23 +415,33 @@ def test_step_check_raises_exactly_where_either_layer_breaks_the_max_norm_rule(s
     kern, limit = check_kernel(scale)
     cur, half = kern.layers
     expected = [fill_drawn(half, data, limit), fill_drawn(cur, data, limit)]
-    assert raises_blow_up(kern.check_step, 1, 0.0) == any(expected)
+    assert raises_blow_up(kern.check, 1, 0.0) == any(expected)
 
 
-@pytest.mark.parametrize("scale", [s for s in START_SCALES if s > 0])
-def test_check_draws_the_line_at_the_limit_itself(scale):
+# the edge value in the intermediate layer (id: the scale) or in the current
+# one (id: current-<scale>); the other layer stays inside the limit
+LIMIT_LINE_CASES = [
+    pytest.param(scale, which, id=f"{scale}" if which else f"current-{scale}")
+    for which in (1, 0)
+    for scale in START_SCALES
+    if scale > 0
+]
+
+
+@pytest.mark.parametrize(("scale", "which"), LIMIT_LINE_CASES)
+def test_check_draws_the_line_at_the_limit_itself(scale, which):
     start = np.full((2, 8), scale)
     kern = _Kernel(make_hirota_satsuma(), CHECK_GRID, start)
     limit = BLOWUP_FACTOR * scale
-    layer = kern.layers[1]
+    layer = kern.layers[which]
     layer.values[...] = 0.0
     layer.values[1, 5] = -limit
     layer.wrap()
-    kern.check(layer, 1, 0.0)
+    kern.check(1, 0.0)
     layer.values[1, 5] = -np.nextafter(limit, math.inf)
     layer.wrap()
     with pytest.raises(BlowUpError):
-        kern.check(layer, 1, 0.0)
+        kern.check(1, 0.0)
 
 
 def test_blow_up_limit_is_a_million_times_the_start_max_norm():
@@ -439,11 +450,40 @@ def test_blow_up_limit_is_a_million_times_the_start_max_norm():
     layer = kern.layers[1]
     layer.values[...] = 2e5 * 0.5
     layer.wrap()
-    kern.check(layer, 1, 0.0)
+    kern.check(1, 0.0)
     layer.values[...] = 2e6 * 0.5
     layer.wrap()
     with pytest.raises(BlowUpError):
-        kern.check(layer, 1, 0.0)
+        kern.check(1, 0.0)
+
+
+def traced_peak(build) -> int:
+    """The peak of the memory traced while ``build()`` runs, above what was
+    traced before it, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# a start of max-norm 1 clears every step by the screen; at 1e200, limit^2
+# overflows, so there is no screen and every step takes the exact max-norm
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_a_step_allocates_no_layer_sized_array(scale):
+    spec = SystemSpec(1, (0.0,), (0.5,), ())
+    grid = Grid(0.0, 0.1, 4096, 1e-6)
+    state = FieldSet(scale * np.sin(2 * np.pi * np.arange(4096) / 4096)[None, :], 0.0)
+    row_bytes = 4100 * 8
+    # building the kernel holds one row-sized temporary (|start|), as the
+    # copy of the result does at the end of advance; between them a step
+    # adds no buffer, so only the stage programs and small objects remain
+    build = traced_peak(lambda: _Kernel(spec, grid, state.values))
+    run = traced_peak(lambda: advance(state, spec, grid, 5))
+    assert run - build < row_bytes / 8
 
 
 # the fig3 (2 x 800) and fig4b (2 x 2,100) kernel shapes, each built after a
@@ -454,6 +494,6 @@ def test_every_kernel_buffer_starts_its_first_node_on_a_64_byte_boundary(grid, d
     dummy = np.ones(dummy_floats)  # alive until the test returns
     kern = _Kernel(make_hirota_satsuma(), grid, np.ones((2, grid.m_points)))
     firsts = [layer.values for layer in kern.layers]  # one allocation, padded between
-    firsts += [kern.d1, kern.d3, kern.mult, kern.acc, kern.zero, kern.twice[2:], kern.magnitude[2:]]
+    firsts += [kern.d1, kern.d3, kern.mult, kern.acc, kern.twice[2:], kern.magnitude[2:]]
     firsts += [slots for _, slots in kern.rounds]  # each round's first slot row
     assert [first.ctypes.data % 64 for first in firsts] == [0] * len(firsts)
