@@ -110,6 +110,13 @@ class Grid:
     def __post_init__(self):
         require_positive("h", self.h)
         require_positive("tau", self.tau)
+        try:
+            divisor = 2.0 * self.h**3  # the third-difference stencil's divisor
+        except OverflowError:  # float ** raises where * would give inf
+            divisor = math.inf
+        if not 2.0**-1022 <= divisor < math.inf:
+            msg = f"h = {self.h:g} makes the stencil divisor 2h^3 = {divisor:g}, not a normal float"
+            raise ConfigError(msg, field="h")
         if not _is_index(self.m_points):
             msg = f"m_points must be an integer, got {self.m_points!r}"
             raise ConfigError(msg, field="m_points")

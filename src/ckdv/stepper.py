@@ -126,13 +126,14 @@ class _Kernel:
 
     Holds the two layers (current, intermediate) in one allocation, so one
     screen reads both, and every scratch buffer, so the stage programs and
-    the check allocate nothing. ``program`` binds a stage's ufunc calls to
-    these buffers once, so a step looks nothing up. The scratch buffers are
-    ``_Layer``s too and are used over flat ranges of whole padded rows, so
-    each operation is one contiguous ufunc over all the rows it covers;
-    per-row constants fill their rows, ghosts included. Scalar operands are
-    prebuilt 0-d arrays and outputs are passed positionally: NumPy converts
-    a Python float, and parses an ``out=`` keyword, on every call.
+    the check allocate nothing (past the screen, the check takes the pair's
+    max-norm as max(max, -min)). ``program`` binds a stage's calls to these
+    buffers once. Scratch buffers are used over flat ranges of whole padded
+    rows, so an operation is one contiguous ufunc over the rows it covers;
+    constant rows are written whole, ghosts included, so only time layers
+    need ``wrap``. Scalar operands are prebuilt 0-d arrays and outputs are
+    passed positionally: NumPy converts a Python float, and parses an
+    ``out=`` keyword, on every call.
 
     One scratch buffer holds D1 | D3 | the term slots. Each term with a
     nonzero coefficient gets a slot: the couplings u_k*D1_m in spec order,
@@ -187,15 +188,12 @@ class _Kernel:
         for (k, mm, coef, row), r in zip(terms, rounds):
             coefs[firsts[r] + row - n] = coef
             self.products.append((k, scratch.rows[mm], scratch.rows[firsts[r] + row]))
-        mult, divisor = _Layer(coefs.size, m), _Layer(2 * n, m)
-        mult.values[...] = coefs[:, None]
-        mult.wrap()
-        divisor.values[:n] = 2.0 * grid.h
-        divisor.values[n:] = 2.0 * grid.h**3
-        divisor.wrap()
-        self.derivs, self.divisor = scratch.flat[2:2 * n * w - 2], divisor.core
+        mult, divisor = _aligned(coefs.size * w), _aligned(2 * n * w)
+        mult[:] = np.repeat(coefs, w)
+        divisor[:] = np.repeat([2.0 * grid.h, 2.0 * grid.h**3], n * w)
+        self.derivs, self.divisor = scratch.flat[2:2 * n * w - 2], divisor[2:-2]
         self.d1, self.d3 = scratch.flat[2:n * w - 2], scratch.flat[n * w + 2:2 * n * w - 2]
-        self.scaled, self.mult = scratch.flat[n * w + 2:-2], mult.core  # D3 | slots, and e | coefs
+        self.scaled, self.mult = scratch.flat[n * w + 2:-2], mult[2:-2]  # D3 | slots, and e | coefs
         acc, twice = _Layer(n, m), _Layer(n, m)
         self.acc = acc.core
         # (acc over the round's rows, the round's slots), round 0 first
@@ -204,7 +202,6 @@ class _Kernel:
             for a, s in zip(firsts, spans)
         ]
         self.twice, self.twice_up1, self.twice_dn1 = twice.flat, twice.up1, twice.dn1
-        self.magnitude = _aligned(self.pair.size)
         # the first layer holds the starting state, whose max-norm sets the blow-up limit
         self.layers[0].values[...] = start
         self.layers[0].wrap()
@@ -221,14 +218,13 @@ class _Kernel:
 
     def check(self, step: int, time: float) -> None:
         """Raise :class:`BlowUpError` if either layer is non-finite or above the limit."""
-        # the gap between the layers holds +0 and ghost cells repeat nodes, so
-        # the pair's max-norm is the larger of the layers'; a NaN sum or
-        # max-norm fails its comparison, as non-finite layers must. vdot,
-        # unlike dot, does not warn when the sum overflows to inf
+        # the gap holds +0 and ghosts repeat nodes, so the pair's max-norm is
+        # the larger layer's; a NaN sum, max or min fails its comparison, as
+        # non-finite layers must. vdot, unlike dot, does not warn on overflow
         pair = self.pair
         if self.screen is not None and np.vdot(pair, pair) <= self.screen:
             return
-        amax = float(np.abs(self.pair, out=self.magnitude).max())
+        amax = max(float(pair.max()), -float(pair.min()))
         if not (amax <= self.limit) or not math.isfinite(amax):
             raise BlowUpError(f"blow-up at step {step} (t ~ {time:.6g})", step=step, time=time)
 
@@ -331,7 +327,8 @@ def advise_tau(
         if tau is None:
             raise ConfigError("manual rule requires an explicit tau", field="tau")
         return StepPlan(tau=float(tau), rule=rule, safety=safety, t_end=t_end)
-    e_max = float(np.max(np.abs(effective_dispersion(spec, h))))
+    with np.errstate(over="ignore"):  # the tau check below owns an overflow
+        e_max = float(np.max(np.abs(effective_dispersion(spec, h))))
     if e_max == 0.0:
         raise ConfigError("e_max is zero (pure advection); use the manual rule", field="rule")
     try:

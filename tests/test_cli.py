@@ -18,8 +18,10 @@ from ckdv.runner import _FLOAT_KEYS
 SYSTEM_FILES = {
     "nan_c.sys": "n_modes = 2\nc = nan, 0\nd = -0.25, 0.5\n",
     "inf_term.sys": "n_modes = 2\nc = 0, 0\nd = -0.25, 0.5\nterm = 1, 1, 1, inf\n",
+    "c1.sys": "n_modes = 1\nc = 1\nd = -0.25\n",
 }
 MANUAL = "tau_rule = manual\ntau = 1e-4\n"
+TRIANGLE = "h = {h}\nx_min = -{x}\nx_max = {x}\nic_kind = triangle_pulse\nhalf_width = {w}\n"
 # the nodes nearest the soliton's centre x = 0 sit at -h/2 and h/2
 NODES_STRADDLE_0 = "h = 0.1\nx_min = -20.05\nx_max = 19.95\n"
 
@@ -280,8 +282,20 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         (["converge", "--t-end", "1e-300"], None, "t_end = 1e-300 is too short"),
         (["converge", "--levels", "1100"], None, "h must be positive, got 0.0"),
         (["run"], "system = custom:{tmp}/nul\0.sys\n", "cannot read custom system file"),
+        # 2h^3 overflows in h**3, overflows in 2*h^3, and underflows to 0
+        (["run"], MANUAL + TRIANGLE.format(h="1e103", x="1e105", w="1e104"), "h = 1e+103 makes"),
+        (["run"], MANUAL + TRIANGLE.format(h="5e102", x="5e104", w="1e104"), "h = 5e+102 makes"),
+        (["run"], MANUAL + TRIANGLE.format(h="1e-110", x="1e-107", w="1e-108"), "h = 1e-110 makes"),
+        # c*h*h overflows in the grid correction of e_max
+        (
+            ["run"],
+            "system = custom:{tmp}/c1.sys\nh = 1e200\nx_min = -1e201\nx_max = 1e201\n",
+            "h = 1e+200 gives no finite positive dispersive_cfl tau",
+        ),
     ],
 )
+# a warning would print as a second stderr line: here it raises instead
+@pytest.mark.filterwarnings("error")
 def test_config_faults_exit_1_naming_the_field(tmp_path, capsys, argv, config, message):
     if config is not None:
         for name, text in SYSTEM_FILES.items():

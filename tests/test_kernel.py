@@ -494,6 +494,6 @@ def test_every_kernel_buffer_starts_its_first_node_on_a_64_byte_boundary(grid, d
     dummy = np.ones(dummy_floats)  # alive until the test returns
     kern = _Kernel(make_hirota_satsuma(), grid, np.ones((2, grid.m_points)))
     firsts = [layer.values for layer in kern.layers]  # one allocation, padded between
-    firsts += [kern.d1, kern.d3, kern.mult, kern.acc, kern.twice[2:], kern.magnitude[2:]]
+    firsts += [kern.d1, kern.d3, kern.mult, kern.acc, kern.twice[2:], kern.divisor]
     firsts += [slots for _, slots in kern.rounds]  # each round's first slot row
     assert [first.ctypes.data % 64 for first in firsts] == [0] * len(firsts)

@@ -145,6 +145,14 @@ def test_grid_invariants():
         Grid(0.0, 0.1, 4, 0.01)
 
 
+@pytest.mark.parametrize("h", [1e103, 5e102, 1e-110, 2.0**-341 * 0.999])
+def test_grid_rejects_an_h_whose_stencil_divisor_is_not_a_normal_float(h):
+    with pytest.raises(ConfigError, match=r"stencil divisor 2h\^3") as info:
+        Grid(0.0, h, 8, 1e-3)
+    assert info.value.field == "h"
+    assert Grid(0.0, 2.0**-341, 8, 1e-3).h == 2.0**-341  # 2h^3 = 2**-1022, the least normal
+
+
 @pytest.mark.parametrize("m_points", [7.5, 8.0, True, "8"])
 def test_grid_rejects_a_non_integer_point_count(m_points):
     with pytest.raises(ConfigError, match="m_points must be an integer") as info:
