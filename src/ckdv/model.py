@@ -134,6 +134,9 @@ class Grid:
         require_positive("h", h)
         if not x_max > x_min:
             raise ConfigError("x_max must exceed x_min", field="x_max")
+        if not math.isfinite(x_max - x_min):
+            msg = f"the span from x_min = {x_min:g} to x_max = {x_max:g} overflows"
+            raise ConfigError(msg, field="x_max")
         steps = (x_max - x_min) / h
         m_points = round(steps) if math.isfinite(steps) else 0
         if not abs(steps - m_points) <= 1e-9 * m_points:

@@ -487,12 +487,13 @@ def _level_errors(config: RunConfig) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Preset:
-    """A canned experiment. A preset without a ``config`` only evaluates the
-    closed-form solution (no time stepping)."""
+    """A canned experiment. A preset without a ``config`` writes the start state
+    of each of its ``profiles``, the closed-form solution (no time stepping)."""
 
     name: str
     description: str
     config: RunConfig | None
+    profiles: tuple[RunConfig, ...] = ()
 
     @property
     def oracle(self) -> bool:
@@ -508,8 +509,14 @@ def list_presets() -> tuple[Preset, ...]:
         t_end=3.0, snapshot_every=0.5,
     )
     return (
-        Preset("fig1", "soliton profiles for m in {0.5, 1, 1.5} at d=0 (oracle plots only)", None),
-        Preset("fig2", "soliton profiles for d in {0, 0.5} at m=1 (oracle plots only)", None),
+        Preset(
+            "fig1", "soliton profiles for m in {0.5, 1, 1.5} at d=0 (oracle plots only)", None,
+            tuple(RunConfig(m=m) for m in (0.5, 1.0, 1.5)),
+        ),
+        Preset(
+            "fig2", "soliton profiles for d in {0, 0.5} at m=1 (oracle plots only)", None,
+            tuple(RunConfig(d=d) for d in (0.0, 0.5)),
+        ),
         Preset(
             "fig3",
             "soliton accuracy run m=1 d=0 to t=1 with percent-error trace",
@@ -553,27 +560,17 @@ def get_preset(name: str) -> Preset:
     raise ConfigError(f"unknown preset '{name}'")
 
 
-def _write_oracle_profiles(name: str, out_dir: Path) -> list[Path]:
-    sweeps = {
-        "fig1": [RunConfig(m=m) for m in (0.5, 1.0, 1.5)],
-        "fig2": [RunConfig(d=d) for d in (0.0, 0.5)],
-    }
-    _make_output_dir(out_dir)
-    paths = []
-    for config in sweeps[name]:
-        # the initial sample of the default run with another m or d
-        *_, grid, state0, _ = _resolve(config)
-        path = out_dir / f"oracle_m{config.m:g}_d{config.d:g}.csv"
-        _write_snapshot(path, _snapshot_template(grid.nodes(), state0.n_modes), state0)
-        paths.append(path)
-    return paths
-
-
 def run_preset(name: str, out_dir: str | Path | None = None):
     """Run a preset into ``out_dir``, by default ``ckdv_out/<name>``; returns a
-    RunReport, or the written paths for oracle presets."""
-    config = get_preset(name).config
+    RunReport, or the paths of the ``oracle_m<m>_d<d>.csv`` profiles it wrote."""
+    preset = get_preset(name)
     out_dir = Path(RunConfig.output_dir) / name if out_dir is None else Path(out_dir)
-    if config is None:
-        return _write_oracle_profiles(name, out_dir)
-    return run_experiment(dataclasses.replace(config, output_dir=str(out_dir)))
+    if preset.config is not None:
+        return run_experiment(dataclasses.replace(preset.config, output_dir=str(out_dir)))
+    _make_output_dir(out_dir)
+    paths = []
+    for profile in preset.profiles:
+        *_, grid, state0, _ = _resolve(profile)
+        paths.append(out_dir / f"oracle_m{profile.m:g}_d{profile.d:g}.csv")
+        _write_snapshot(paths[-1], _snapshot_template(grid.nodes(), state0.n_modes), state0)
+    return paths

@@ -257,6 +257,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "fig1 profiles without m = 1.5",
+        RUNNER,
+        "tuple(RunConfig(m=m) for m in (0.5, 1.0, 1.5))",
+        "tuple(RunConfig(m=m) for m in (0.5, 1.0))",
+        (
+            "tests/test_runner.py::test_oracle_presets_write_profiles",
+            "tests/test_runner.py::test_oracle_profile_is_its_configs_start_snapshot[fig1]",
+        ),
+    ),
+    Mutant(
         "fig4a keeps the full system",
         RUNNER,
         "dataclasses.replace(decay, system=SYSTEM_KDV1)",
@@ -389,6 +399,17 @@ MUTANTS = (
             "\\ntau = 1e-4\\nh = 1e-110\\nx_min = -1e-107\\nx_max = 1e-107\\nic_kind = triangle_pulse"
             "\\nhalf_width = 1e-108\\n-h = 1e-110 makes]",
             "tests/test_model.py::test_grid_rejects_an_h_whose_stencil_divisor_is_not_a_normal_float[1e-110]",
+        ),
+    ),
+    Mutant(
+        "overflowing span left to the whole-step check",
+        MODEL,
+        "        if not math.isfinite(x_max - x_min):\n",
+        "        if False:\n",
+        (
+            "tests/test_model.py::test_grid_spanning_rejects_spans_that_are_not_whole_steps[-1e+308-1e+308-0.05-x_max]",
+            "tests/test_cli.py::test_config_faults_exit_1_naming_the_field[argv36-x_min = -1e308"
+            "\\nx_max = 1e308\\n-x_max = 1e+308 overflows]",
         ),
     ),
     Mutant(

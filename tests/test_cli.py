@@ -292,6 +292,8 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
             "system = custom:{tmp}/c1.sys\nh = 1e200\nx_min = -1e201\nx_max = 1e201\n",
             "h = 1e+200 gives no finite positive dispersive_cfl tau",
         ),
+        # two finite bounds whose span overflows
+        (["run"], "x_min = -1e308\nx_max = 1e308\n", "x_max = 1e+308 overflows"),
     ],
 )
 # a warning would print as a second stderr line: here it raises instead

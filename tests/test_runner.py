@@ -503,6 +503,21 @@ def test_oracle_presets_write_profiles(tmp_path):
     assert [p.name for p in paths2] == ["oracle_m1_d0.csv", "oracle_m1_d0.5.csv"]
 
 
+@pytest.mark.parametrize(
+    "name, profile, config",
+    [
+        ("fig1", "oracle_m1.5_d0.csv", RunConfig(m=1.5)),
+        ("fig2", "oracle_m1_d0.5.csv", RunConfig(d=0.5)),
+    ],
+    ids=["fig1", "fig2"],
+)
+def test_oracle_profile_is_its_configs_start_snapshot(tmp_path, name, profile, config):
+    run_preset(name, tmp_path / name)
+    run_experiment(dataclasses.replace(config, t_end=1e-4, output_dir=str(tmp_path / "run")))
+    start = tmp_path / "run" / "snap_0000_t0.000000.csv"
+    assert (tmp_path / name / profile).read_bytes() == start.read_bytes()
+
+
 def test_presets_write_into_ckdv_out_by_default(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert Path("ckdv_out/fig1/oracle_m1_d0.csv") in run_preset("fig1")
