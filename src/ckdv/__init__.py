@@ -43,6 +43,7 @@ from .diagnostics import (
 )
 from .runner import (
     Preset,
+    Run,
     RunConfig,
     RunReport,
     build_initial_condition,
@@ -90,6 +91,7 @@ __all__ = [
     "mode_mass",
     "percent_error",
     "Preset",
+    "Run",
     "RunConfig",
     "RunReport",
     "build_initial_condition",

@@ -17,10 +17,10 @@ import functools
 import sys
 import warnings
 
+from . import runner
 from .errors import BlowUpError, CkdvError
 from .runner import (
     RunReport,
-    _resolve,
     convergence_study,
     list_presets,
     load_config,
@@ -65,11 +65,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    _, _, plan, n_steps, grid, _, _ = _resolve(load_config(args.config))
-    print(f"rule = {plan.rule}")
-    print(f"tau = {plan.tau:.6g}")
-    print(f"steps to t_end = {n_steps}")
-    print(f"m_points = {grid.m_points}")
+    run = runner.validate_config(load_config(args.config))
+    print(f"rule = {run.plan.rule}")
+    print(f"tau = {run.plan.tau:.6g}")
+    print(f"steps to t_end = {run.n_steps}")
+    print(f"m_points = {run.grid.m_points}")
     return 0
 
 

@@ -17,6 +17,7 @@ import itertools
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,18 +204,31 @@ def _has_oracle(config: RunConfig) -> bool:
     return config.system == SYSTEM_HS and config.ic_kind == IC_SOLITON
 
 
-def _resolve(config: RunConfig):
-    """``(config, spec, plan, n_steps, grid, state0, oracle)``, each built once.
+@dataclass(frozen=True)
+class Run:
+    """A run, set up: ``config`` with ``snapshot_every`` filled in, and what
+    it builds, each once. ``state0`` is the sampled initial data, one row per
+    mode of ``spec``; ``oracle`` evaluates the closed-form soliton on the
+    nodes, or is ``None``."""
 
-    ``state0`` is the sampled initial data, one row per mode of ``spec``;
-    ``oracle`` evaluates the closed-form soliton on the nodes, or is ``None``.
-    Numbers must be finite. The constructors own their rules (a fault is
-    only renamed to its config key) and run before anything is sampled, so
-    the step and node counts cost no memory to check. Checked after them,
-    as no constructor owns them: the snapshot interval (filled into
-    ``config``), an initial profile narrower than ``h``, a system with more
-    modes than the initial data fills, initial data zero at every node or
-    not finite at some node, and the edge warning.
+    config: RunConfig
+    spec: SystemSpec
+    plan: StepPlan
+    n_steps: int
+    grid: Grid
+    state0: FieldSet
+    oracle: Callable[[float], np.ndarray] | None
+
+
+def validate_config(config: RunConfig) -> Run:
+    """Set up the run ``config`` describes, or raise :class:`ConfigError`
+    naming the key. Numbers must be finite. The constructors own their
+    rules (a fault is only renamed to its config key) and run before
+    anything is sampled, so the step and node counts cost no memory to
+    check. Checked after them, as no constructor owns them: the snapshot
+    interval (filled into ``config``), an initial profile narrower than
+    ``h``, a system with more modes than the initial data fills, initial
+    data zero at every node or not finite at some node, and the edge warning.
     """
     for key in _FLOAT_KEYS:
         value = getattr(config, key)
@@ -272,13 +286,7 @@ def _resolve(config: RunConfig):
         )
     oracle = soliton_evaluator(ic, grid.nodes()) if _has_oracle(config) else None
     config = dataclasses.replace(config, snapshot_every=snapshot_every)
-    return config, spec, plan, n_steps, grid, state0, oracle
-
-
-def validate_config(config: RunConfig) -> RunConfig:
-    """Check ``config`` by building everything a run needs from it; return it
-    with ``snapshot_every`` filled in, or raise :class:`ConfigError` naming the key."""
-    return _resolve(config)[0]
+    return Run(config, spec, plan, n_steps, grid, state0, oracle)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -302,10 +310,10 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def write_config(config: RunConfig, path: str | Path) -> Path:
-    """Write a config file that loads back equal to ``validate_config(config)``.
+    """Write a config file that loads back equal to ``validate_config(config).config``.
     A string no ``key = value`` line holds (empty, multi-line, padded or with a
     ``#``) is a :class:`ConfigError` naming its key."""
-    config = validate_config(config)
+    config = validate_config(config).config
     path = Path(path)
     lines = []
     for key in CONFIG_KEYS:
@@ -406,7 +414,7 @@ def _make_output_dir(path: Path) -> Path:
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute one configured run, writing snapshots, trace and manifest.
 
-    The start state and the oracle come from :func:`_resolve`. The advised
+    The start state and the oracle come from :func:`validate_config`. The advised
     time step is shrunk to the nearest divisor of ``t_end`` so the run lands
     on the end time exactly. A blow-up does not raise: the report carries
     the failing step and every artifact produced up to it stays on disk.
@@ -414,15 +422,15 @@ def run_experiment(config: RunConfig) -> RunReport:
     filled after the last, so a run that cannot write them fails before it
     steps; a run stopped by any other exception leaves them empty.
     """
-    config, spec, plan, n_steps, grid, state0, oracle = _resolve(config)
-    template = _snapshot_template(grid.nodes(), spec.n_modes)
-    amplitude = None if oracle is None else float(np.abs(state0.values).max())
+    run = validate_config(config)
+    template = _snapshot_template(run.grid.nodes(), run.spec.n_modes)
+    amplitude = None if run.oracle is None else float(np.abs(run.state0.values).max())
 
-    out_dir = _make_output_dir(Path(config.output_dir))
-    report = RunReport([], DiagnosticTrace(), None, plan, out_dir)
+    out_dir = _make_output_dir(Path(run.config.output_dir))
+    report = RunReport([], DiagnosticTrace(), None, run.plan, out_dir)
     snapshots, trace = report.snapshots, report.trace
 
-    snap_steps = _snapshot_steps(config.snapshot_every / plan.tau, n_steps)
+    snap_steps = _snapshot_steps(run.config.snapshot_every / run.plan.tau, run.n_steps)
     next_snap = 0
 
     def observer(step: int, time: float, values: np.ndarray) -> None:
@@ -431,20 +439,20 @@ def run_experiment(config: RunConfig) -> RunReport:
             state = FieldSet(values, time)
             snapshots.append(out_dir / f"snap_{len(snapshots):04d}_t{time:.6f}.csv")
             _write_snapshot(snapshots[-1], template, state)
-            trace.record(state, grid.h, oracle, amplitude)
+            trace.record(state, run.grid.h, run.oracle, amplitude)
             next_snap = next(snap_steps, None)
 
-    observer(0, state0.time, state0.values)  # the start state is snapshot 0
+    observer(0, run.state0.time, run.state0.values)  # the start state is snapshot 0
     trace_path, report_path = out_dir / "trace.csv", out_dir / "report.csv"
     for path in (trace_path, report_path):
         _write_csv(path, "")
     try:
-        advance(state0, spec, grid, n_steps, observer)
+        advance(run.state0, run.spec, run.grid, run.n_steps, observer)
     except BlowUpError as exc:
         report.blow_up_step = exc.step
 
     _write_trace(trace_path, trace)
-    _write_report(report_path, report, n_steps, grid)
+    _write_report(report_path, report, run.n_steps, run.grid)
     return report
 
 
@@ -468,7 +476,7 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
     # and a non-finite one on the finest. The coarsest goes first; its faults
     # sample no finer level.
     for k in (0, n_levels - 1):
-        _resolve(level(k))
+        validate_config(level(k))
     errors, l2_errors = zip(*(_level_errors(level(k)) for k in range(n_levels)))
     if 0.0 in errors:
         msg = f"t_end = {t_end:g} is too short to show any error; no order can be measured"
@@ -479,9 +487,9 @@ def convergence_study(t_end: float, h_coarsest: float, n_levels: int = 3) -> Con
 def _level_errors(config: RunConfig) -> tuple[float, float]:
     """Max-norm and L2 error of one refinement level against the closed form;
     its start state and oracle go when it returns."""
-    config, spec, _, n_steps, grid, state0, oracle = _resolve(config)
-    final = advance(state0, spec, grid, n_steps)
-    diff = np.abs(oracle(final.time) - final.values)
+    run = validate_config(config)
+    final = advance(run.state0, run.spec, run.grid, run.n_steps)
+    diff = np.abs(run.oracle(final.time) - final.values)
     return float(diff.max()), l2_norm(diff, config.h)
 
 
@@ -570,7 +578,8 @@ def run_preset(name: str, out_dir: str | Path | None = None):
     _make_output_dir(out_dir)
     paths = []
     for profile in preset.profiles:
-        *_, grid, state0, _ = _resolve(profile)
+        run = validate_config(profile)
         paths.append(out_dir / f"oracle_m{profile.m:g}_d{profile.d:g}.csv")
-        _write_snapshot(paths[-1], _snapshot_template(grid.nodes(), state0.n_modes), state0)
+        template = _snapshot_template(run.grid.nodes(), run.state0.n_modes)
+        _write_snapshot(paths[-1], template, run.state0)
     return paths

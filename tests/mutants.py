@@ -106,6 +106,7 @@ MUTANTS = (
         (
             "tests/test_kernel.py::test_three_mode_advance_matches_roll_transcription_bitwise",
             "tests/test_stepper.py::test_dispersive_cfl_step_grows_the_fastest_mode_by_the_midpoint_factor",
+            "tests/test_stepper.py::test_scheme_is_second_order_in_tau_at_fixed_h",
         ),
     ),
     Mutant(
@@ -198,6 +199,15 @@ MUTANTS = (
         "    except OSError as exc:\n        msg = f\"cannot write {path}",
         (
             "tests/test_runner.py::test_write_config_to_a_path_with_a_nul_byte_is_a_config_fault",
+        ),
+    ),
+    Mutant(
+        "write_config writes the config unfilled",
+        RUNNER,
+        "    config = validate_config(config).config\n",
+        "    validate_config(config)\n",
+        (
+            "tests/test_runner.py::test_write_config_writes_only_strings_that_load_back_equal[runs_1]",
         ),
     ),
     Mutant(

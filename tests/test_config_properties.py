@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ckdv.cli import main
 from ckdv.errors import ConfigError
-from ckdv.runner import _FLOAT_KEYS, RunConfig, _resolve, load_config, validate_config
+from ckdv.runner import _FLOAT_KEYS, RunConfig, load_config, validate_config
 
 EDGE_FLOATS = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 0.03]
@@ -51,7 +51,7 @@ def test_validate_config_returns_or_raises_config_error(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            resolved = validate_config(config)
+            resolved = validate_config(config).config
         except ConfigError:
             return
     assert resolved.snapshot_every is not None
@@ -157,12 +157,12 @@ def test_run_exits_1_exactly_when_validate_config_rejects(custom_systems, small,
         ))
         argv = ["run", "--config", str(cfg)]
         try:
-            config, _, _, n_steps, grid, _, _ = _resolve(validate_config(load_config(cfg)))
+            run = validate_config(load_config(cfg))
         except ConfigError:
             assert main(["advise", "--config", str(cfg)]) == 1
             assert main(argv) == 1
             return
         assert main(["advise", "--config", str(cfg)]) == 0
-        over_budget = n_steps * grid.m_points > MAX_NODE_STEPS
-        if not over_budget and config.t_end <= MAX_SNAPSHOTS * config.snapshot_every:
+        over_budget = run.n_steps * run.grid.m_points > MAX_NODE_STEPS
+        if not over_budget and run.config.t_end <= MAX_SNAPSHOTS * run.config.snapshot_every:
             assert main(argv) in (0, 2)

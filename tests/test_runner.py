@@ -11,7 +11,6 @@ from ckdv.errors import ConfigError
 from ckdv.model import make_hirota_satsuma, make_hs_first_kdv, make_perturbed_hs
 from ckdv.runner import (
     RunConfig,
-    _resolve,
     _snapshot_steps,
     build_system,
     get_preset,
@@ -41,7 +40,7 @@ def quick_config(tmp_path, **overrides):
 def test_load_minimal_config_fills_defaults(tmp_path):
     path = tmp_path / "minimal.cfg"
     path.write_text("output_dir = " + str(tmp_path / "out") + "\n")
-    config = validate_config(load_config(path))
+    config = validate_config(load_config(path)).config
     assert config.system == "hirota_satsuma"
     assert config.tau_rule == "dispersive_cfl"
     assert config.safety == 0.25
@@ -132,7 +131,7 @@ def test_config_round_trip(tmp_path):
             amp_scale=1.5,
             output_dir=str(tmp_path / "out"),
         )
-    )
+    ).config
     reloaded = load_config(write_config(config, tmp_path / "rt.cfg"))
     assert reloaded == config
 
@@ -146,7 +145,7 @@ def test_write_config_writes_only_strings_that_load_back_equal(tmp_path, output_
             write_config(config, path)
         assert info.value.field == "output_dir" and not path.exists()
         return
-    assert load_config(write_config(config, path)) == validate_config(config)
+    assert load_config(write_config(config, path)) == validate_config(config).config
 
 
 def test_write_config_to_a_directory_is_a_config_fault(tmp_path):
@@ -218,9 +217,8 @@ def _edge_config(tmp_path):
         lambda tmp_path: run_experiment(_edge_config(tmp_path)),
         lambda tmp_path: write_config(_edge_config(tmp_path), tmp_path / "edge.cfg"),
         lambda tmp_path: run_preset("fig1", tmp_path / "fig1"),
-        lambda tmp_path: _resolve(_edge_config(tmp_path)),
     ],
-    ids=["validate_config", "run_experiment", "write_config", "run_preset", "_resolve"],
+    ids=["validate_config", "run_experiment", "write_config", "run_preset"],
 )
 def test_edge_warning_points_at_the_callers_line(tmp_path, call):
     with warnings.catch_warnings(record=True) as caught:
@@ -254,8 +252,8 @@ def test_custom_system_path_may_follow_spaces_after_the_prefix(tmp_path):
     sysfile = tmp_path / "kdv.sys"
     sysfile.write_text("n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n")
     config = RunConfig(system=f"custom:  {sysfile}", h=0.1, t_end=0.05)
-    assert build_system(validate_config(config)) == make_hs_first_kdv()
-    assert load_config(write_config(config, tmp_path / "rt.cfg")) == validate_config(config)
+    assert validate_config(config).spec == make_hs_first_kdv()
+    assert load_config(write_config(config, tmp_path / "rt.cfg")) == validate_config(config).config
 
 
 def test_custom_system_file_faults(tmp_path):
@@ -434,9 +432,9 @@ def test_snapshot_steps_match_accumulated_schedule_on_presets():
     for preset in list_presets():
         if preset.config is None:
             continue
-        config, _, _, n_steps, grid, _, _ = _resolve(preset.config)
-        steps = list(_snapshot_steps(config.snapshot_every / grid.tau, n_steps))
-        assert steps == accumulated_schedule(config.snapshot_every, grid.tau, n_steps)
+        run = validate_config(preset.config)
+        steps = list(_snapshot_steps(run.config.snapshot_every / run.grid.tau, run.n_steps))
+        assert steps == accumulated_schedule(run.config.snapshot_every, run.grid.tau, run.n_steps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -614,7 +612,13 @@ def test_run_experiment_builds_each_object_once(tmp_path, monkeypatch, via_cli):
     )
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in vars(config).items() if v is not None))
-    names = ("_parse_system_file", "advise_tau", "build_initial_condition", "sample_initial")
+    names = (
+        "validate_config",
+        "_parse_system_file",
+        "advise_tau",
+        "build_initial_condition",
+        "sample_initial",
+    )
     calls = dict.fromkeys(names, 0)
 
     def counted(name, original):

@@ -14,6 +14,7 @@ from ckdv.model import (
     make_hirota_satsuma,
     make_hs_first_kdv,
 )
+from ckdv.runner import RunConfig, validate_config
 from ckdv.stepper import StepPlan, advance, advise_tau
 from test_kernel import single_mode_step
 
@@ -216,6 +217,22 @@ def test_dispersive_cfl_step_grows_the_fastest_mode_by_the_midpoint_factor(h):
     growth = (l2_norm(final.values[0], h) / l2_norm(u0, h)) ** (1 / n)
     omega = 0.5 * (3 * math.sqrt(3) / 2) / h**3
     assert growth == pytest.approx(math.sqrt(1 + (plan.tau * omega) ** 4 / 4), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "system", [{}, {"system": "perturbed_hs", "d1": -0.2}], ids=["hs_soliton", "fig5"]
+)
+def test_scheme_is_second_order_in_tau_at_fixed_h(system):
+    # self-convergence at h = 0.1: successive final states at tau0 / 2^k
+    # differ by O(tau^2), far above rounding (the first difference is ~2e-8)
+    finals = []
+    for k in range(4):
+        config = RunConfig(h=0.1, t_end=0.5, tau_rule="manual", tau=1.6e-4 / 2**k, **system)
+        run = validate_config(config)
+        finals.append(advance(run.state0, run.spec, run.grid, run.n_steps).values)
+    diffs = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(1.9 <= order <= 2.1 for order in orders), orders
 
 
 # ---------------------------------------------------------------- advisor
