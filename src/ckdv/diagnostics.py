@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import require_positive
 from .model import FieldSet
 
 # evaluator protocol: t -> exact (n_modes, m_points) values on the grid nodes
@@ -48,8 +49,7 @@ def percent_error(numeric: FieldSet, oracle_eval: OracleEvaluator, amplitude: fl
     The oracle is evaluated at the state's own time on the grid nodes;
     ``amplitude`` is the initial amplitude the error is related to.
     """
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    require_positive("amplitude", amplitude)
     exact = oracle_eval(numeric.time)
     return np.max(np.abs(exact - numeric.values), axis=1) / amplitude * 100.0
 
@@ -58,21 +58,13 @@ def count_peaks(field_values: Sequence[float], threshold: float) -> int:
     """Count strict local maxima above ``threshold`` on the periodic lattice.
 
     A plateau (run of equal values) flanked by strictly lower values on
-    both sides counts once.
+    both sides counts once, a plateau across the seam included.
     """
     f = np.asarray(field_values, dtype=float)
-    m = f.size
-    count = 0
-    for i in range(m):
-        if f[i] <= threshold or f[i] <= f[(i - 1) % m]:
-            continue
-        # ascended into a run starting at i; walk to its right edge (i - 1 at the latest)
-        j = i
-        while f[(j + 1) % m] == f[i]:
-            j += 1
-        if f[(j + 1) % m] < f[i]:
-            count += 1
-    return count
+    runs = f[f != np.roll(f, 1)]  # each run of equal values once, in periodic order
+    before, after = np.roll(runs, 1), np.roll(runs, -1)
+    # NaN compares false, so the negated <= tests let a NaN through and the < test does not
+    return int(np.count_nonzero(~(runs <= threshold) & ~(runs <= before) & (after < runs)))
 
 
 @dataclass

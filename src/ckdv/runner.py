@@ -31,7 +31,7 @@ from .analytic import (
     soliton_evaluator,
 )
 from .diagnostics import ConvergenceReport, DiagnosticTrace, l2_norm, level_h
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, ConfigError, require_positive
 from .model import (
     FieldSet,
     Grid,
@@ -248,8 +248,7 @@ def validate_config(config: RunConfig) -> Run:
     snapshot_every = config.snapshot_every
     if snapshot_every is None:
         snapshot_every = config.t_end / 10.0
-    if snapshot_every <= 0:
-        raise ConfigError("snapshot_every must be positive", field="snapshot_every")
+    require_positive("snapshot_every", snapshot_every)
     if snapshot_every > config.t_end:
         raise ConfigError("snapshot_every must not exceed t_end", field="snapshot_every")
 
@@ -488,7 +487,10 @@ def _level_errors(config: RunConfig) -> tuple[float, float]:
     """Max-norm and L2 error of one refinement level against the closed form;
     its start state and oracle go when it returns."""
     run = validate_config(config)
-    final = advance(run.state0, run.spec, run.grid, run.n_steps)
+    try:
+        final = advance(run.state0, run.spec, run.grid, run.n_steps)
+    except BlowUpError as exc:
+        raise BlowUpError(f"h = {config.h:g}: {exc}", step=exc.step, time=exc.time) from None
     diff = np.abs(run.oracle(final.time) - final.values)
     return float(diff.max()), l2_norm(diff, config.h)
 

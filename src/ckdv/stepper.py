@@ -307,7 +307,7 @@ def advise_tau(
     safety: float = DEFAULT_SAFETY,
     tau: float | None = None,
 ) -> StepPlan:
-    """Pick a stable time step for the given grid spacing and run length.
+    """Pick a time step for the given grid spacing and run length.
 
     ``paper_strict`` solves the conservative bound
     ``tau * (3 e_max / h^3)^2 * t_end = safety``; ``dispersive_cfl`` is

@@ -376,6 +376,42 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "percent error lets a non-finite amplitude through",
+        DIAGNOSTICS,
+        '    require_positive("amplitude", amplitude)\n',
+        '    if amplitude <= 0:\n        raise ValueError("amplitude must be positive")\n',
+        (
+            "tests/test_diagnostics.py::test_percent_error_rejects_bad_amplitude",
+        ),
+    ),
+    Mutant(
+        "peak runs compressed without the periodic wrap",
+        DIAGNOSTICS,
+        "runs = f[f != np.roll(f, 1)]",
+        "runs = f[np.append(True, f[1:] != f[:-1])]",
+        (
+            "tests/test_diagnostics.py::test_count_peaks_literal_cases[plateau-across-the-seam]",
+        ),
+    ),
+    Mutant(
+        "crest at the peak threshold counted",
+        DIAGNOSTICS,
+        "~(runs <= threshold)",
+        "~(runs < threshold)",
+        (
+            "tests/test_diagnostics.py::test_count_peaks_literal_cases[crest-at-the-threshold]",
+        ),
+    ),
+    Mutant(
+        "module entry point drops main's status",
+        CLI,
+        "    sys.exit(main())\n",
+        "    main()\n",
+        (
+            "tests/test_cli.py::test_module_entry_point_exits_with_main_status",
+        ),
+    ),
+    Mutant(
         "blow-up exits 1",
         CLI,
         "return 2 if isinstance(exc, BlowUpError) else 1\n",
@@ -458,6 +494,15 @@ MUTANTS = (
         "config.ic_kind != IC_TRIANGLE",
         (
             "tests/test_cli.py::test_presets_listing",
+        ),
+    ),
+    Mutant(
+        "converge blow-up without its level's h",
+        RUNNER,
+        'f"h = {config.h:g}: {exc}"',
+        "str(exc)",
+        (
+            "tests/test_runner.py::test_convergence_study_blow_up_names_its_level",
         ),
     ),
     Mutant(

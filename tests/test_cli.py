@@ -155,6 +155,22 @@ def test_converge_blow_up_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: blow-up at step 122252 (t ~ 0.318365)\n"
 
 
+def test_module_entry_point_exits_with_main_status():
+    # python -m ckdv.cli runs main() under __main__; its status is the process's
+    env = dict(os.environ, PYTHONPATH=str(Path(ckdv.__file__).resolve().parents[1]))
+
+    def cli(*argv):
+        cmd = [sys.executable, "-m", "ckdv.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+
+    listing = cli("presets")
+    assert listing.returncode == 0, listing.stderr
+    assert len(listing.stdout.splitlines()) == 7
+    usage = cli("converge", "--levels", "abc")
+    assert usage.returncode == 1
+    assert usage.stderr.startswith("usage: ckdv")
+
+
 def test_converge_sets_up_every_level_before_stepping(monkeypatch, capsys):
     # level 8's step count is the fault; stepping level 0 first would take 750,000,000 steps
     def advance(*args):
@@ -294,6 +310,7 @@ def test_run_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         ),
         # two finite bounds whose span overflows
         (["run"], "x_min = -1e308\nx_max = 1e308\n", "x_max = 1e+308 overflows"),
+        (["run"], "snapshot_every = -1\n", "snapshot_every must be positive, got -1.0"),
     ],
 )
 # a warning would print as a second stderr line: here it raises instead

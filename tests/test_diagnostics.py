@@ -128,8 +128,9 @@ def test_percent_error_shift_invariance():
 def test_percent_error_rejects_bad_amplitude():
     grid = Grid(-20.0, 0.1, 400, 1e-4)
     state = sample_initial(SOLITON, grid)
-    with pytest.raises(ValueError):
-        percent_error(state, soliton_evaluator(SOLITON, grid.nodes()), 0.0)
+    for amplitude in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="amplitude must be"):
+            percent_error(state, soliton_evaluator(SOLITON, grid.nodes()), amplitude)
 
 
 # ------------------------------------------------------------- peak count
@@ -164,6 +165,51 @@ def test_count_peaks_wraps_periodically():
     # crest centred on the seam
     f = np.array([5.0, 1.0, 0.0, 0.0, 0.0, 1.0])
     assert count_peaks(f, 0.5) == 1
+
+
+@pytest.mark.parametrize(
+    "values, threshold, count",
+    [
+        pytest.param([2, 2, 2, 1, 2, 2], 0.5, 1, id="plateau-across-the-seam"),
+        pytest.param([3, 0, 0, 0, 3, 3], 0.5, 1, id="seam-plateau-then-valley"),
+        pytest.param([1, 1, 0, 0], 0.5, 1, id="two-runs"),
+        pytest.param([], 0.5, 0, id="empty"),
+        pytest.param([5], 0.5, 0, id="one-node"),
+        pytest.param([5, 5], 0.5, 0, id="one-run"),
+        pytest.param([5, 0], 0.5, 1, id="two-nodes"),
+        pytest.param([0, 5, 0, 7, 7, 0], 5.0, 1, id="crest-at-the-threshold"),
+        pytest.param([math.nan, 5, 0, 0], 0.5, 1, id="nan-before-a-crest"),
+        pytest.param([0, 5, math.nan, 0], 0.5, 0, id="nan-after-a-crest"),
+        pytest.param([0, 5, 0], math.nan, 1, id="nan-threshold"),
+    ],
+)
+def test_count_peaks_literal_cases(values, threshold, count):
+    assert count_peaks(values, threshold) == count
+
+
+def walk_peaks(values, threshold):
+    """Peaks by an index walk over the periodic lattice: the reference for ``count_peaks``."""
+    f = np.asarray(values, dtype=float)
+    m = f.size
+    count = 0
+    for i in range(m):
+        if f[i] <= threshold or f[i] <= f[(i - 1) % m]:
+            continue
+        j = i  # ascended into a run starting at i; walk to its right edge
+        while f[(j + 1) % m] == f[i]:
+            j += 1
+        if f[(j + 1) % m] < f[i]:
+            count += 1
+    return count
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf]), max_size=12),
+    st.sampled_from([-1.0, 0.5, 1.0, 1.5, math.nan, -math.inf]),
+)
+def test_count_peaks_equals_the_index_walk(values, threshold):
+    assert count_peaks(values, threshold) == walk_peaks(values, threshold)
 
 
 # ------------------------------------------------------------ trace class

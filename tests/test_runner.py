@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ckdv.errors import ConfigError
+import ckdv.runner
+from ckdv.errors import BlowUpError, ConfigError
 from ckdv.model import make_hirota_satsuma, make_hs_first_kdv, make_perturbed_hs
 from ckdv.runner import (
     RunConfig,
     _snapshot_steps,
     build_system,
+    convergence_study,
     get_preset,
     list_presets,
     load_config,
@@ -374,6 +376,24 @@ def test_run_experiment_blow_up_preserves_partial_outputs(tmp_path):
     report_text = (report.output_dir / "report.csv").read_text()
     assert "blew_up" in report_text
     assert f"blow_up_step,{report.blow_up_step}" in report_text
+
+
+def test_convergence_study_blow_up_names_its_level(monkeypatch):
+    # level 1 (h = 0.1) blows up; level 0 steps for real and level 2 never steps
+    real_advance, stepped = ckdv.runner.advance, []
+
+    def advance(state, spec, grid, n_steps):
+        stepped.append(grid.h)
+        if len(stepped) == 2:
+            raise BlowUpError("blow-up at step 7 (t ~ 0.0035)", step=7, time=0.0035)
+        return real_advance(state, spec, grid, n_steps)
+
+    monkeypatch.setattr(ckdv.runner, "advance", advance)
+    with pytest.raises(BlowUpError) as caught:
+        convergence_study(t_end=0.1, h_coarsest=0.2, n_levels=3)
+    assert str(caught.value) == "h = 0.1: blow-up at step 7 (t ~ 0.0035)"
+    assert (caught.value.step, caught.value.time) == (7, 0.0035)
+    assert stepped == [0.2, 0.1]
 
 
 def test_run_experiment_resolves_tau_to_divide_t_end(tmp_path):
