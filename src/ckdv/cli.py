@@ -16,6 +16,7 @@ import argparse
 import functools
 import sys
 import warnings
+from pathlib import Path
 
 from . import runner
 from .errors import BlowUpError, CkdvError
@@ -30,11 +31,12 @@ from .runner import (
 
 
 def _report_summary(report: RunReport) -> int:
+    config = report.run.config
     print(f"outcome: {report.outcome}")
     if report.blow_up_step is not None:
         print(f"blow-up at step {report.blow_up_step}")
-    print(f"tau = {report.plan.tau:.6g} ({report.plan.rule}, safety {report.plan.safety:g})")
-    print(f"{len(report.snapshots)} snapshots in {report.output_dir}")
+    print(f"tau = {report.run.plan.tau:.6g} ({config.tau_rule}, safety {config.safety:g})")
+    print(f"{len(report.snapshots)} snapshots in {Path(config.output_dir)}")
     errors = report.trace.columns.get("max_pct_err_1")
     if errors:
         print(f"max percent error, mode 1: {max(errors):.4g}%")
@@ -66,7 +68,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     run = runner.validate_config(load_config(args.config))
-    print(f"rule = {run.plan.rule}")
+    print(f"rule = {run.config.tau_rule}")
     print(f"tau = {run.plan.tau:.6g}")
     print(f"steps to t_end = {run.n_steps}")
     print(f"m_points = {run.grid.m_points}")

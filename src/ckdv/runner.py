@@ -12,6 +12,7 @@ refinement study also sets up its coarsest and finest levels beforehand.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -91,30 +92,37 @@ CONFIG_KEYS = _FLOAT_KEYS + tuple(f.name for f in dataclasses.fields(RunConfig) 
 
 @dataclass
 class RunReport:
-    """One run: snapshot files on disk, the diagnostics trace, and the step
-    that blew up (``None`` if the run completed). Snapshot ``i`` is at
-    ``trace.columns["t"][i]``."""
+    """One run: the :class:`Run` it stepped, snapshot files on disk, the
+    diagnostics trace, and the step that blew up (``None`` if the run
+    completed). Snapshot ``i`` is at ``trace.columns["t"][i]``."""
 
+    run: Run
     snapshots: list[Path]
     trace: DiagnosticTrace
     blow_up_step: int | None
-    plan: StepPlan
-    output_dir: Path
 
     @property
     def outcome(self) -> str:
         return "completed" if self.blow_up_step is None else "blew_up"
 
 
+@contextlib.contextmanager
+def _path_fault(doing: str, field: str | None):
+    """Turn an OS fault in the block, or a ``ValueError`` (a NUL in a path,
+    undecodable text), into a :class:`ConfigError` of ``field``: "cannot
+    ``doing``: why". A ConfigError is a ValueError too, so wrap OS calls only."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot {doing}: {getattr(exc, 'strerror', exc)}", field=field) from exc
+
+
 def _read_key_values(path: Path, what: str, field: str | None = None):
     """Yield ``(line number, key, value)`` per ``key = value`` line; ``#`` starts a
     comment. An unreadable file, a line without ``=`` or a repeat of a key other
     than ``term`` is a fault of ``field`` (of the repeated key if ``field`` is None)."""
-    try:
+    with _path_fault(f"read {what} {path}", field):
         text = path.read_text(encoding="utf-8-sig")
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL in the path
-        msg = f"cannot read {what} {path}: {getattr(exc, 'strerror', exc)}"
-        raise ConfigError(msg, field=field) from exc
     seen = set()
     for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
@@ -323,7 +331,7 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
             value.splitlines() != [value] or value != value.strip() or "#" in value
         ):
             raise ConfigError(f"{key} = {value!r} cannot be written as one config line", field=key)
-        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+        lines.append(f"{key} = {float(value)!r}" if key in _FLOAT_KEYS else f"{key} = {value}")
     _write_csv(path, "\n".join(lines) + "\n", field=None)
     return path
 
@@ -331,12 +339,8 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
 def _write_csv(path: Path, text: str, field: str | None = "output_dir") -> None:
     """Write ``text`` to ``path`` in UTF-8 with one binary write. A file that
     cannot be written (a NUL in ``path`` included) is a fault of ``field``."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(text.encode())
-    except (OSError, ValueError) as exc:
-        msg = f"cannot write {path}: {getattr(exc, 'strerror', exc)}"
-        raise ConfigError(msg, field=field) from exc
+    with _path_fault(f"write {path}", field), open(path, "wb") as fh:
+        fh.write(text.encode())
 
 
 def _snapshot_template(x: np.ndarray, n_modes: int) -> str:
@@ -365,14 +369,14 @@ def _write_trace(path: Path, trace: DiagnosticTrace) -> None:
     _write_table(path, list(columns), row_template, zip(*columns.values()))
 
 
-def _write_report(path: Path, report: RunReport, n_steps: int, grid: Grid) -> None:
-    plan = report.plan
+def _write_report(path: Path, report: RunReport) -> None:
+    config, plan, grid = report.run.config, report.run.plan, report.run.grid
     rows = [
-        ("plan", "rule", plan.rule),
-        ("plan", "safety", "%.17g" % plan.safety),
+        ("plan", "rule", config.tau_rule),
+        ("plan", "safety", "%.17g" % config.safety),
         ("plan", "tau", "%.17g" % plan.tau),
         ("plan", "t_end", "%.17g" % plan.t_end),
-        ("plan", "n_steps", n_steps),
+        ("plan", "n_steps", report.run.n_steps),
         ("grid", "x_min", "%.17g" % grid.x_min),
         ("grid", "h", "%.17g" % grid.h),
         ("grid", "m_points", grid.m_points),
@@ -402,11 +406,8 @@ def _snapshot_steps(per_snapshot: float, n_steps: int):
 
 
 def _make_output_dir(path: Path) -> Path:
-    try:
+    with _path_fault(f"create output_dir {path}", "output_dir"):
         path.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, with no strerror
-        msg = f"cannot create output_dir {path}: {getattr(exc, 'strerror', exc)}"
-        raise ConfigError(msg, field="output_dir") from exc
     return path
 
 
@@ -426,7 +427,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     amplitude = None if run.oracle is None else float(np.abs(run.state0.values).max())
 
     out_dir = _make_output_dir(Path(run.config.output_dir))
-    report = RunReport([], DiagnosticTrace(), None, run.plan, out_dir)
+    report = RunReport(run, [], DiagnosticTrace(), None)
     snapshots, trace = report.snapshots, report.trace
 
     snap_steps = _snapshot_steps(run.config.snapshot_every / run.plan.tau, run.n_steps)
@@ -451,7 +452,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         report.blow_up_step = exc.step
 
     _write_trace(trace_path, trace)
-    _write_report(report_path, report, run.n_steps, run.grid)
+    _write_report(report_path, report)
     return report
 
 

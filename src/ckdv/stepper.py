@@ -57,15 +57,12 @@ Observer = Callable[[int, float, np.ndarray], None]
 
 @dataclass(frozen=True)
 class StepPlan:
-    """A chosen time step and the rule that produced it."""
+    """A chosen time step and the run length it must reach."""
 
     tau: float
-    rule: str
-    safety: float
     t_end: float
 
     def __post_init__(self):
-        require_positive("safety", self.safety)
         require_positive("t_end", self.t_end)
         require_positive("tau", self.tau)
 
@@ -326,7 +323,7 @@ def advise_tau(
     if rule == RULE_MANUAL:
         if tau is None:
             raise ConfigError("manual rule requires an explicit tau", field="tau")
-        return StepPlan(tau=float(tau), rule=rule, safety=safety, t_end=t_end)
+        return StepPlan(tau=float(tau), t_end=t_end)
     with np.errstate(over="ignore"):  # the tau check below owns an overflow
         e_max = float(np.max(np.abs(effective_dispersion(spec, h))))
     if e_max == 0.0:
@@ -340,4 +337,4 @@ def advise_tau(
         chosen = math.nan
     if not 0.0 < chosen < math.inf:
         raise ConfigError(f"h = {h:g} gives no finite positive {rule} tau ({chosen:g})", field="h")
-    return StepPlan(tau=chosen, rule=rule, safety=safety, t_end=t_end)
+    return StepPlan(tau=chosen, t_end=t_end)

@@ -193,12 +193,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_write_csv catches OSError only",
+        "_path_fault catches OSError only",
         RUNNER,
-        "    except (OSError, ValueError) as exc:\n        msg = f\"cannot write {path}",
-        "    except OSError as exc:\n        msg = f\"cannot write {path}",
+        "    except (OSError, ValueError) as exc:\n        raise ConfigError(f\"cannot {doing}",
+        "    except OSError as exc:\n        raise ConfigError(f\"cannot {doing}",
         (
             "tests/test_runner.py::test_write_config_to_a_path_with_a_nul_byte_is_a_config_fault",
+            "tests/test_cli.py::test_run_output_dir_with_a_nul_byte_is_a_config_fault",
+        ),
+    ),
+    Mutant(
+        "report.csv safety from DEFAULT_SAFETY",
+        RUNNER,
+        '("plan", "safety", "%.17g" % config.safety)',
+        '("plan", "safety", "%.17g" % DEFAULT_SAFETY)',
+        (
+            "tests/test_cli.py::test_run_summary_and_report_name_the_configured_rule_and_safety",
+        ),
+    ),
+    Mutant(
+        "summary's rule fixed to dispersive_cfl",
+        CLI,
+        "({config.tau_rule}, safety",
+        "(dispersive_cfl, safety",
+        (
+            "tests/test_cli.py::test_run_summary_and_report_name_the_configured_rule_and_safety",
+        ),
+    ),
+    Mutant(
+        "advise_tau without its safety check",
+        STEPPER,
+        '    require_positive("safety", safety)\n',
+        "",
+        (
+            "tests/test_stepper.py::test_advise_tau_faults_name_the_parameter[0.1-1.0--1.0-manual-safety]",
+            "tests/test_stepper.py::test_advise_tau_faults_name_the_parameter[0.1-1.0-nan-paper_strict-safety]",
         ),
     ),
     Mutant(

@@ -6,6 +6,7 @@ CFL step with safety 0.25, t_end=1) is executed once and shared by
 criteria 1, 3, 4, 5 and 6.
 """
 
+import contextlib
 import dataclasses
 import math
 
@@ -55,7 +56,10 @@ def preset_runs(tmp_path_factory):
     for name in ("fig4b", "fig5", "fig6"):
         out = tmp_path_factory.mktemp(name)
         config = dataclasses.replace(get_preset(name).config, output_dir=str(out))
-        reports[name] = run_experiment(config)
+        # fig4b's stretched data reach 2.5e-05 of the peak at its domain edges
+        edge = pytest.warns(UserWarning, match="edge contamination") if name == "fig4b" else contextlib.nullcontext()
+        with edge:
+            reports[name] = run_experiment(config)
     return reports
 
 

@@ -217,7 +217,8 @@ def test_help_exits_0(capsys):
 
 
 def test_preset_command_oracle(tmp_path, capsys):
-    assert main(["preset", "fig1", "--out", str(tmp_path / "fig1")]) == 0
+    with pytest.warns(UserWarning, match="edge contamination"):  # fig1's m = 0.5 profile
+        assert main(["preset", "fig1", "--out", str(tmp_path / "fig1")]) == 0
     out = capsys.readouterr().out
     assert "oracle_m0.5_d0.csv" in out
 
@@ -238,6 +239,25 @@ def test_preset_command_simulation(tmp_path, capsys):
     assert names - snaps == {"trace.csv", "report.csv"}
     # the stretched data reach 2.5e-05 of the peak at the edges of [-150, 60]
     assert [w.category for w in caught] == [UserWarning]
+
+
+def test_run_summary_and_report_name_the_configured_rule_and_safety(tmp_path, capsys):
+    # an output_dir that ends in "/" prints as the directory made, with no slash
+    out = tmp_path / "ps"
+    cfg = tmp_path / "ps.cfg"
+    cfg.write_text(
+        "tau_rule = paper_strict\nsafety = 0.4\nh = 0.4\nt_end = 0.05\n"
+        f"output_dir = {out}/\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "outcome: completed",
+        "tau = 0.0125 (paper_strict, safety 0.4)",
+        f"5 snapshots in {out}",
+    ]
+    rows = (out / "report.csv").read_text().splitlines()
+    for row in ("plan,rule,paper_strict", "plan,safety,0.40000000000000002", "plan,n_steps,4"):
+        assert row in rows
 
 
 def test_preset_command_unknown(capsys):

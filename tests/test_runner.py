@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import warnings
 from pathlib import Path
@@ -114,28 +115,38 @@ def test_load_config_perturbed_system(tmp_path):
 
 
 def test_config_round_trip(tmp_path):
-    config = validate_config(
-        RunConfig(
-            system="perturbed_hs",
-            d1=-0.21,
-            x_min=-17.5,
-            x_max=22.5,
-            h=0.125,
-            tau_rule="manual",
-            tau=3.2e-4,
-            safety=0.4,
-            t_end=0.75,
-            snapshot_every=0.15,
-            ic_kind="stretched_soliton",
-            m=1.25,
-            d=0.3,
-            width_scale=2.0,
-            amp_scale=1.5,
-            output_dir=str(tmp_path / "out"),
-        )
-    ).config
-    reloaded = load_config(write_config(config, tmp_path / "rt.cfg"))
+    with pytest.warns(UserWarning, match="edge contamination"):  # the stretched data
+        config = validate_config(
+            RunConfig(
+                system="perturbed_hs",
+                d1=-0.21,
+                x_min=-17.5,
+                x_max=22.5,
+                h=0.125,
+                tau_rule="manual",
+                tau=3.2e-4,
+                safety=0.4,
+                t_end=0.75,
+                snapshot_every=0.15,
+                ic_kind="stretched_soliton",
+                m=1.25,
+                d=0.3,
+                width_scale=2.0,
+                amp_scale=1.5,
+                output_dir=str(tmp_path / "out"),
+            )
+        ).config
+        path = write_config(config, tmp_path / "rt.cfg")
+    reloaded = load_config(path)
     assert reloaded == config
+
+
+def test_config_round_trip_of_numpy_floats(tmp_path):
+    # numpy 2 reprs np.float64(0.1) as "np.float64(0.1)", which no config line reads
+    config = RunConfig(h=np.float64(0.1), t_end=0.05, output_dir=str(tmp_path / "out"))
+    path = write_config(config, tmp_path / "np.cfg")
+    assert "h = 0.1\n" in path.read_text()
+    assert load_config(path) == validate_config(config).config
 
 
 @pytest.mark.parametrize("output_dir", ["runs#1", " padded ", "", "a\nh = 0.1", "runs_1"])
@@ -311,19 +322,19 @@ def test_run_experiment_artifacts(tmp_path):
         header = path.read_text().splitlines()[0]
         assert header == "x,theta_1,theta_2"
     assert report.snapshots[0].name == "snap_0000_t0.000000.csv"
-    assert (report.output_dir / "trace.csv").exists()
-    assert (report.output_dir / "report.csv").exists()
+    assert (tmp_path / "out" / "trace.csv").exists()
+    assert (tmp_path / "out" / "report.csv").exists()
 
 
 def test_run_experiment_trace_columns_with_oracle(tmp_path):
-    report = run_experiment(quick_config(tmp_path))
-    header = (report.output_dir / "trace.csv").read_text().splitlines()[0]
+    run_experiment(quick_config(tmp_path))
+    header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[0]
     assert header == "t,l2_1,l2_2,mass_1,mass_2,Q,max_pct_err_1,max_pct_err_2"
 
 
 def test_run_experiment_trace_columns_without_oracle(tmp_path):
     report = run_experiment(quick_config(tmp_path, system="perturbed_hs"))
-    header = (report.output_dir / "trace.csv").read_text().splitlines()[0]
+    header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[0]
     assert header == "t,l2_1,l2_2,mass_1,mass_2,Q"
     assert list(report.trace.columns) == header.split(",")
 
@@ -332,7 +343,7 @@ def test_run_experiment_single_mode_trace(tmp_path):
     report = run_experiment(
         quick_config(tmp_path, system="hs_kdv1", ic_kind="stretched_soliton", width_scale=2.0)
     )
-    header = (report.output_dir / "trace.csv").read_text().splitlines()[0]
+    header = (tmp_path / "out" / "trace.csv").read_text().splitlines()[0]
     assert header == "t,l2_1,mass_1"
     snap_header = report.snapshots[0].read_text().splitlines()[0]
     assert snap_header == "x,theta_1"
@@ -355,7 +366,7 @@ def test_run_experiment_deterministic_output(tmp_path):
     r2 = run_experiment(quick_config(tmp_path, output_dir=str(tmp_path / "b")))
     for p1, p2 in zip(r1.snapshots, r2.snapshots):
         assert p1.read_bytes() == p2.read_bytes()
-    assert (r1.output_dir / "trace.csv").read_bytes() == (r2.output_dir / "trace.csv").read_bytes()
+    assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
 
 
 def test_run_experiment_blow_up_preserves_partial_outputs(tmp_path):
@@ -373,7 +384,7 @@ def test_run_experiment_blow_up_preserves_partial_outputs(tmp_path):
     assert len(report.snapshots) >= 1
     for path in report.snapshots:
         assert path.exists()
-    report_text = (report.output_dir / "report.csv").read_text()
+    report_text = (tmp_path / "blow" / "report.csv").read_text()
     assert "blew_up" in report_text
     assert f"blow_up_step,{report.blow_up_step}" in report_text
 
@@ -398,11 +409,11 @@ def test_convergence_study_blow_up_names_its_level(monkeypatch):
 
 def test_run_experiment_resolves_tau_to_divide_t_end(tmp_path):
     report = run_experiment(quick_config(tmp_path))
-    n_steps = round(0.05 / report.plan.tau)
-    assert n_steps * report.plan.tau == pytest.approx(0.05, rel=1e-12)
+    n_steps = round(0.05 / report.run.plan.tau)
+    assert n_steps * report.run.plan.tau == pytest.approx(0.05, rel=1e-12)
     # never above the advised stability step
     advised = 0.25 * 0.1**3 / (3 * 0.5)
-    assert report.plan.tau <= advised * (1 + 1e-12)
+    assert report.run.plan.tau <= advised * (1 + 1e-12)
 
 
 def test_run_experiment_rejects_mode_mismatch(tmp_path):
@@ -452,7 +463,10 @@ def test_snapshot_steps_match_accumulated_schedule_on_presets():
     for preset in list_presets():
         if preset.config is None:
             continue
-        run = validate_config(preset.config)
+        # fig4a and fig4b's stretched data reach 2.5e-05 of the peak at the domain edges
+        edge = pytest.warns(UserWarning, match="edge contamination") if preset.name.startswith("fig4") else contextlib.nullcontext()
+        with edge:
+            run = validate_config(preset.config)
         steps = list(_snapshot_steps(run.config.snapshot_every / run.grid.tau, run.n_steps))
         assert steps == accumulated_schedule(run.config.snapshot_every, run.grid.tau, run.n_steps)
 
@@ -507,7 +521,8 @@ def test_preset_fig6_uses_triangle_pulse():
 
 
 def test_oracle_presets_write_profiles(tmp_path):
-    paths = run_preset("fig1", tmp_path / "fig1")
+    with pytest.warns(UserWarning, match="edge contamination"):  # fig1's m = 0.5 profile
+        paths = run_preset("fig1", tmp_path / "fig1")
     assert [p.name for p in paths] == [
         "oracle_m0.5_d0.csv",
         "oracle_m1_d0.csv",
@@ -530,7 +545,9 @@ def test_oracle_presets_write_profiles(tmp_path):
     ids=["fig1", "fig2"],
 )
 def test_oracle_profile_is_its_configs_start_snapshot(tmp_path, name, profile, config):
-    run_preset(name, tmp_path / name)
+    edge = pytest.warns(UserWarning, match="edge contamination") if name == "fig1" else contextlib.nullcontext()
+    with edge:  # fig1's m = 0.5 profile
+        run_preset(name, tmp_path / name)
     run_experiment(dataclasses.replace(config, t_end=1e-4, output_dir=str(tmp_path / "run")))
     start = tmp_path / "run" / "snap_0000_t0.000000.csv"
     assert (tmp_path / name / profile).read_bytes() == start.read_bytes()
@@ -538,15 +555,17 @@ def test_oracle_profile_is_its_configs_start_snapshot(tmp_path, name, profile, c
 
 def test_presets_write_into_ckdv_out_by_default(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert Path("ckdv_out/fig1/oracle_m1_d0.csv") in run_preset("fig1")
+    with pytest.warns(UserWarning, match="edge contamination"):  # fig1's m = 0.5 profile
+        assert Path("ckdv_out/fig1/oracle_m1_d0.csv") in run_preset("fig1")
     assert Path("ckdv_out/fig1/oracle_m1_d0.csv").is_file()
-    report = run_preset("fig4a")
-    assert report.output_dir == Path("ckdv_out/fig4a")
+    with pytest.warns(UserWarning, match="edge contamination"):
+        report = run_preset("fig4a")
+    assert report.run.config.output_dir == "ckdv_out/fig4a"
     assert Path("ckdv_out/fig4a/report.csv").is_file()
     times = report.trace.columns["t"]
     assert len(times) == len(report.snapshots)
     for t, path in zip(times, report.snapshots):
-        assert path.parent == report.output_dir and path.name.endswith(f"_t{t:.6f}.csv")
+        assert path.parent == Path("ckdv_out/fig4a") and path.name.endswith(f"_t{t:.6f}.csv")
 
 
 def test_unknown_preset():

@@ -242,7 +242,6 @@ def test_advise_tau_paper_strict_arithmetic():
     plan = advise_tau(HS, 0.2, 1.0, "paper_strict", safety=1.0)
     assert plan.tau == pytest.approx(0.2**6 / (9 * 0.5**2 * 1.0), rel=1e-12)
     assert plan.tau == pytest.approx(2.844e-5, rel=1e-3)
-    assert plan.rule == "paper_strict"
 
 
 def test_advise_tau_dispersive_cfl_arithmetic():
@@ -281,14 +280,12 @@ def test_advise_tau_rejects_bad_inputs():
 
 def test_step_plan_invariants():
     with pytest.raises(ValueError):
-        StepPlan(tau=0.0, rule="manual", safety=1.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        StepPlan(tau=0.1, rule="manual", safety=-1.0, t_end=1.0)
+        StepPlan(tau=0.0, t_end=1.0)
 
 
 def test_fit_to_end_counts_a_ratio_just_above_an_integer_as_that_integer():
     # 0.07 / 0.01 rounds to 7.000000000000001: seven steps of 0.01, not eight
-    plan, n_steps = StepPlan(tau=0.01, rule="manual", safety=0.25, t_end=0.07).fit_to_end()
+    plan, n_steps = StepPlan(tau=0.01, t_end=0.07).fit_to_end()
     assert n_steps == 7 and plan.tau == 0.07 / 7
 
 
@@ -304,7 +301,8 @@ def test_advise_tau_rejects_given_non_positive_tau_under_every_rule(rule):
     [(1e200, 1.0, 0.25, "dispersive_cfl", "h"), (1e200, 1.0, 0.25, "paper_strict", "h"),
      (1e-120, 1.0, 0.25, "dispersive_cfl", "h"), (math.inf, 1.0, 0.25, "dispersive_cfl", "h"),
      (0.1, math.nan, 0.25, "dispersive_cfl", "t_end"), (0.1, 1.0, math.nan, "paper_strict", "safety"),
-     (0.1, 1.0, 0.0, "dispersive_cfl", "safety"), (0.1, 1.0, 0.25, "sometimes", "rule")],
+     (0.1, 1.0, 0.0, "dispersive_cfl", "safety"), (0.1, 1.0, 0.25, "sometimes", "rule"),
+     (0.1, 1.0, -1.0, "manual", "safety")],
 )
 def test_advise_tau_faults_name_the_parameter(h, t_end, safety, rule, field):
     with pytest.raises(ConfigError) as info:
@@ -314,13 +312,13 @@ def test_advise_tau_faults_name_the_parameter(h, t_end, safety, rule, field):
 
 def test_fit_to_end_rejects_an_unbounded_step_count():
     with pytest.raises(ConfigError) as info:
-        StepPlan(tau=5e-324, rule="manual", safety=1.0, t_end=1.0).fit_to_end()
+        StepPlan(tau=5e-324, t_end=1.0).fit_to_end()
     assert info.value.field == "tau"
 
 
 def test_fit_to_end_counts_steps_exactly_up_to_2_53():
     # past 2**53 the float t_end / tau is spaced wider than one step
-    assert StepPlan(tau=1.0, rule="manual", safety=1.0, t_end=2.0**53).fit_to_end()[1] == 2**53
+    assert StepPlan(tau=1.0, t_end=2.0**53).fit_to_end()[1] == 2**53
     with pytest.raises(ConfigError) as info:
-        StepPlan(tau=1.0, rule="manual", safety=1.0, t_end=2.0**53 + 2.0).fit_to_end()
+        StepPlan(tau=1.0, t_end=2.0**53 + 2.0).fit_to_end()
     assert info.value.field == "tau"
