@@ -21,10 +21,10 @@ from .model import FieldSet
 OracleEvaluator = Callable[[float], np.ndarray]
 
 
-def l2_norm(field_values: Sequence[float], h: float) -> float:
-    """Discrete L2 norm sqrt(sum(f_i^2) * h) of one mode, or of all rows of an array."""
+def l2_norm(field_values: Sequence[float], h: float) -> float | np.ndarray:
+    """Discrete L2 norm sqrt(sum(f_i^2) * h) of one mode, or of each row of an array."""
     f = np.asarray(field_values, dtype=float)
-    return float(np.sqrt(np.sum(f * f) * h))
+    return np.sqrt(np.sum(f * f, axis=-1) * h)
 
 
 def hs_invariant(state: FieldSet, h: float) -> float:
@@ -89,10 +89,8 @@ class DiagnosticTrace:
         oracle_eval: OracleEvaluator | None = None,
         amplitude: float | None = None,
     ) -> None:
-        n, values = state.n_modes, state.values
-        # one reduction per quantity over all modes; each row's sum is the
-        # one l2_norm and mode_mass take of it alone, bit for bit
-        l2 = np.sqrt(np.sum(values * values, axis=1) * h).tolist()
+        n = state.n_modes
+        l2 = l2_norm(state.values, h).tolist()
         masses = mode_mass(state, h).tolist()
         row = {"t": state.time}
         row.update((f"l2_{k + 1}", l2[k]) for k in range(n))

@@ -131,6 +131,7 @@ class Grid:
     def spanning(cls, x_min: float, x_max: float, h: float, tau: float) -> Grid:
         """The grid of period [x_min, x_max), which must be a whole number of steps h
         (to a relative 1e-9): another span is rejected, not rounded to a new period."""
+        x_min, x_max, h, tau = map(float, (x_min, x_max, h, tau))  # float64, not the caller's type
         require_positive("h", h)
         if not x_max > x_min:
             raise ConfigError("x_max must exceed x_min", field="x_max")

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import numbers
 import sys
 import warnings
 from collections.abc import Callable
@@ -230,18 +231,29 @@ class Run:
 
 def validate_config(config: RunConfig) -> Run:
     """Set up the run ``config`` describes, or raise :class:`ConfigError`
-    naming the key. Numbers must be finite. The constructors own their
-    rules (a fault is only renamed to its config key) and run before
-    anything is sampled, so the step and node counts cost no memory to
-    check. Checked after them, as no constructor owns them: the snapshot
-    interval (filled into ``config``), an initial profile narrower than
-    ``h``, a system with more modes than the initial data fills, initial
-    data zero at every node or not finite at some node, and the edge warning.
+    naming the key. A number key's value becomes a finite Python float, a string
+    key's must be a ``str``. The constructors own their rules (a fault is only
+    renamed to its config key) and run before anything is sampled, so the step and
+    node counts cost no memory to check. Checked after them, as no constructor owns
+    them: the snapshot interval (filled into ``config``), an initial profile narrower
+    than ``h``, a system with more modes than the initial data fills, initial data
+    zero at every node or not finite at some node, and the edge warning.
     """
-    for key in _FLOAT_KEYS:
+    typed = {}
+    for key in CONFIG_KEYS:
         value = getattr(config, key)
-        if value is not None and not math.isfinite(value):
+        if value is None and getattr(RunConfig, key) is None:
+            continue  # tau and snapshot_every may be left unset
+        if key in _FLOAT_KEYS and isinstance(value, numbers.Real):
+            with contextlib.suppress(OverflowError):  # an int past the float range stays an int
+                value = float(value)
+        if not isinstance(value, float if key in _FLOAT_KEYS else str):
+            want = "a number in the float range" if key in _FLOAT_KEYS else "a string"
+            raise ConfigError(f"{key} must be {want}, got {type(value).__name__}", field=key)
+        if key in _FLOAT_KEYS and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}", field=key)
+        typed[key] = value
+    config = dataclasses.replace(config, **typed)
     try:
         spec = build_system(config)
         plan, n_steps = advise_tau(
@@ -331,7 +343,7 @@ def write_config(config: RunConfig, path: str | Path) -> Path:
             value.splitlines() != [value] or value != value.strip() or "#" in value
         ):
             raise ConfigError(f"{key} = {value!r} cannot be written as one config line", field=key)
-        lines.append(f"{key} = {float(value)!r}" if key in _FLOAT_KEYS else f"{key} = {value}")
+        lines.append(f"{key} = {value}")
     _write_csv(path, "\n".join(lines) + "\n", field=None)
     return path
 
@@ -493,7 +505,7 @@ def _level_errors(config: RunConfig) -> tuple[float, float]:
     except BlowUpError as exc:
         raise BlowUpError(f"h = {config.h:g}: {exc}", step=exc.step, time=exc.time) from None
     diff = np.abs(run.oracle(final.time) - final.values)
-    return float(diff.max()), l2_norm(diff, config.h)
+    return float(diff.max()), float(l2_norm(diff.ravel(), config.h))
 
 
 @dataclass(frozen=True)

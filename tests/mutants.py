@@ -231,6 +231,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "set-up keeps the caller's number type",
+        RUNNER,
+        "    config = dataclasses.replace(config, **typed)\n",
+        "",
+        (
+            "tests/test_config_properties.py::test_write_config_round_trips_every_number_type",
+        ),
+    ),
+    Mutant(
+        "a string key's type goes unchecked",
+        RUNNER,
+        "        if not isinstance(value, float if key in _FLOAT_KEYS else str):\n",
+        "        if key in _FLOAT_KEYS and not isinstance(value, float):\n",
+        (
+            "tests/test_runner.py::test_validate_config_faults_name_fields",
+        ),
+    ),
+    Mutant(
         "write_config writes the config unfilled",
         RUNNER,
         "    config = validate_config(config).config\n",
@@ -380,10 +398,12 @@ MUTANTS = (
     Mutant(
         "trace L2 without h",
         DIAGNOSTICS,
-        "l2 = np.sqrt(np.sum(values * values, axis=1) * h)",
-        "l2 = np.sqrt(np.sum(values * values, axis=1))",
+        "np.sqrt(np.sum(f * f, axis=-1) * h)",
+        "np.sqrt(np.sum(f * f, axis=-1))",
         (
             "tests/test_diagnostics.py::test_trace_records_three_modes_without_q",
+            "tests/test_diagnostics.py::test_l2_norm_ones",
+            "tests/test_diagnostics.py::test_l2_norm_soliton_mode1",
         ),
     ),
     Mutant(

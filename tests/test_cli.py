@@ -14,11 +14,12 @@ from ckdv.cli import main
 from ckdv.errors import BlowUpError
 from ckdv.runner import _FLOAT_KEYS
 
-# custom system files written next to each faulty config as {tmp}/<name>
+# custom system files written next to each config as {tmp}/<name>
 SYSTEM_FILES = {
     "nan_c.sys": "n_modes = 2\nc = nan, 0\nd = -0.25, 0.5\n",
     "inf_term.sys": "n_modes = 2\nc = 0, 0\nd = -0.25, 0.5\nterm = 1, 1, 1, inf\n",
     "c1.sys": "n_modes = 1\nc = 1\nd = -0.25\n",
+    "kdv1.sys": "n_modes = 1\nc = 0\nd = -0.25\nterm = 1, 1, 1, -1.5\n",
 }
 MANUAL = "tau_rule = manual\ntau = 1e-4\n"
 TRIANGLE = "h = {h}\nx_min = -{x}\nx_max = {x}\nic_kind = triangle_pulse\nhalf_width = {w}\n"
@@ -52,12 +53,20 @@ def test_presets_listing(capsys):
         ("h = 0.1\nt_end = 1\n", ("dispersive_cfl", "0.000166667", 6000, 400)),
         # the N=1 system has half the Hirota-Satsuma system's largest dispersion
         ("system = hs_kdv1\nh = 0.1\nt_end = 3\n", ("dispersive_cfl", "0.000333333", 9000, 400)),
+        ("\ufeffh = 0.1\nt_end = 0.01\n", ("dispersive_cfl", "0.000166667", 60, 400)),
+        # an absolute path, a space after the colon
+        (
+            "system = custom: {tmp}/kdv1.sys\nh = 0.1\nt_end = 0.01\n",
+            ("dispersive_cfl", "0.000333333", 30, 400),
+        ),
     ],
-    ids=["paper_strict", "dispersive_cfl", "hs_kdv1"],
+    ids=["paper_strict", "dispersive_cfl", "hs_kdv1", "byte_order_mark", "custom"],
 )
 def test_advise_prints_the_plan_the_config_runs_with(tmp_path, capsys, config, plan):
+    for name, text in SYSTEM_FILES.items():
+        (tmp_path / name).write_text(text)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
+    cfg.write_text(config.format(tmp=tmp_path), encoding="utf-8")
     assert main(["advise", "--config", str(cfg)]) == 0
     rule, tau, n_steps, m_points = plan
     assert capsys.readouterr().out.splitlines() == [

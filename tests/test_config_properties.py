@@ -2,7 +2,8 @@
 rejected with a ConfigError, ``ckdv advise`` exits 0 or 1, and ``ckdv run``
 exits 0, 1 or 2 whatever its initial data. ``ckdv run`` and ``ckdv advise``
 exit 1 on exactly the configs ``validate_config`` rejects, and
-``ckdv advise`` exits 0 on the rest."""
+``ckdv advise`` exits 0 on the rest. ``write_config`` writes a config that
+sets up as the one it was given, whatever the type of its numbers."""
 
 import contextlib
 import io
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from ckdv.cli import main
 from ckdv.errors import ConfigError
-from ckdv.runner import _FLOAT_KEYS, RunConfig, load_config, validate_config
+from ckdv.runner import _FLOAT_KEYS, RunConfig, load_config, validate_config, write_config
 
 EDGE_FLOATS = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 0.03]
@@ -166,3 +167,31 @@ def test_run_exits_1_exactly_when_validate_config_rejects(custom_systems, small,
         over_budget = run.n_steps * run.grid.m_points > MAX_NODE_STEPS
         if not over_budget and run.config.t_end <= MAX_SNAPSHOTS * run.config.snapshot_every:
             assert main(argv) in (0, 2)
+
+
+def _numbers(values):
+    """One of ``values`` as a float, an int, an np.float64 or an np.float32."""
+    kinds = st.sampled_from([float, int, np.float64, np.float32])
+    return st.builds(lambda kind, value: kind(value), kinds, st.sampled_from(values))
+
+
+@settings(deadline=None, max_examples=100)
+@given(h=_numbers([0.05, 0.1, 0.125, 0.5, 2.0]), t_end=_numbers([0.01, 0.1, 0.5, 3.0]))
+# float32(0.1) spans [-20, 20) in whole steps only in float32 arithmetic
+@example(h=np.float32(0.1), t_end=0.05)
+# float32(0.1) is not the 0.1 its str reads
+@example(h=0.1, t_end=np.float32(0.1))
+def test_write_config_round_trips_every_number_type(h, t_end):
+    with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = RunConfig(h=h, t_end=t_end, output_dir=f"{root}/out")
+        path = Path(root) / "rt.cfg"
+        try:
+            expected = validate_config(config).config
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                write_config(config, path)
+            return
+        reloaded = validate_config(load_config(write_config(config, path))).config
+        # repr, not ==: numpy 2 compares np.float32(0.1) == 0.1 in float32, and finds them equal
+        assert repr(reloaded) == repr(expected)

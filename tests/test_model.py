@@ -204,7 +204,7 @@ def test_grid_spanning_counts_whole_steps(x_min, x_max, h, m_points):
     "x_min, x_max, h, field",
     [(-20.0, 20.0, 0.03, "h"), (-0.001, 0.001, 0.05, "h"), (-20.0, 20.0, 30.0, "h"),
      (-20.0, 20.0, 5e-324, "h"), (-20.0, -30.0, 0.05, "x_max"), (0.0, 1.0, -0.1, "h"),
-     (-1e308, 1e308, 0.05, "x_max")],
+     (-1e308, 1e308, 0.05, "x_max"), (-20.0, 20.0, np.float32(0.1), "h")],
 )
 def test_grid_spanning_rejects_spans_that_are_not_whole_steps(x_min, x_max, h, field):
     with pytest.raises(ConfigError) as info:

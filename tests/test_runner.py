@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ckdv.runner
+from ckdv.cli import main
 from ckdv.errors import BlowUpError, ConfigError
 from ckdv.model import make_hirota_satsuma, make_hs_first_kdv, make_perturbed_hs
 from ckdv.runner import (
@@ -196,6 +197,13 @@ def test_validate_config_faults_name_fields(tmp_path):
         (dict(ic_kind="triangle_pulse", half_width=0.0), "half_width"),
         (dict(system="unknown_system"), "system"),
         (dict(system=f"custom:{three}"), "ic_kind"),
+        # a value of the wrong type, or an int past the float range, names its key
+        (dict(t_end=10**400), "t_end"),
+        (dict(h="0.1"), "h"),
+        (dict(system=3), "system"),
+        (dict(output_dir=None), "output_dir"),
+        # float32(0.1) spans [-20, 20) in whole steps only in float32 arithmetic
+        (dict(h=np.float32(0.1), t_end=0.05), "h"),
     ]:
         with pytest.raises(ConfigError) as info:
             validate_config(RunConfig(**kwargs))
@@ -553,11 +561,14 @@ def test_oracle_profile_is_its_configs_start_snapshot(tmp_path, name, profile, c
     assert (tmp_path / name / profile).read_bytes() == start.read_bytes()
 
 
-def test_presets_write_into_ckdv_out_by_default(tmp_path, monkeypatch):
+def test_presets_write_into_ckdv_out_by_default(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.warns(UserWarning, match="edge contamination"):  # fig1's m = 0.5 profile
         assert Path("ckdv_out/fig1/oracle_m1_d0.csv") in run_preset("fig1")
     assert Path("ckdv_out/fig1/oracle_m1_d0.csv").is_file()
+    with pytest.warns(UserWarning, match="edge contamination"):
+        assert main(["preset", "fig1"]) == 0
+    assert "ckdv_out/fig1/oracle_m1_d0.csv" in capsys.readouterr().out.splitlines()
     with pytest.warns(UserWarning, match="edge contamination"):
         report = run_preset("fig4a")
     assert report.run.config.output_dir == "ckdv_out/fig4a"
